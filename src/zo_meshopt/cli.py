@@ -28,7 +28,6 @@ from .train import (
     MESH_MODES,
     TrainConfig,
     dynamic_sweep,
-    predictions_for,
     scale_sweep,
     train_run,
 )
@@ -101,13 +100,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config.validate()
     metrics, state = train_run(config)
     out = Path(config.out_dir)
-    fine_mesh = uniform_mesh(config.fine_n)
-    for alpha in config.test_alphas:
-        scenario = ScenarioParams(alpha)
-        from .solver import solve_poisson
-
-        truth = solve_poisson(fine_mesh, scenario).field
-        pred = predictions_for(state.mesh, state.net, scenario, fine_mesh, truth)
+    for alpha, pred, truth in state.test_outputs:
         write_field_csv(pred, out / f"pred_alpha_{alpha:g}.csv")
         write_field_csv(truth, out / f"truth_alpha_{alpha:g}.csv")
     if metrics:

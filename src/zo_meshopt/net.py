@@ -51,7 +51,6 @@ class MlpGrads:
 class ForwardCache:
     params: MlpParams
     inputs: np.ndarray
-    pre_activations: tuple[np.ndarray, ...]
     activations: tuple[np.ndarray, ...]
 
 
@@ -79,14 +78,15 @@ def forward(params: MlpParams, features: np.ndarray) -> tuple[np.ndarray, Forwar
         )
     last = len(params.weights) - 1
     a = x
-    pre = []
     act = []
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        a = z if l == last else np.tanh(z)
-        pre.append(z)
+        # In place: one fresh (n, width) array per layer, no temporaries.
+        a = a @ w.T
+        a += b
+        if l != last:
+            np.tanh(a, out=a)
         act.append(a)
-    return a, ForwardCache(params, x, tuple(pre), tuple(act))
+    return a, ForwardCache(params, x, tuple(act))
 
 
 def backward(
@@ -109,7 +109,13 @@ def backward(
     b_grads: list[np.ndarray] = [np.empty(0)] * n_layers
     g = cot
     for l in reversed(range(n_layers)):
-        dz = g if l == n_layers - 1 else g * (1.0 - cache.activations[l] ** 2)
+        if l == n_layers - 1:
+            dz = g
+        else:
+            # g * (1 - act**2), built in place in one array.
+            dz = np.square(cache.activations[l])
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
         a_prev = cache.inputs if l == 0 else cache.activations[l - 1]
         w_grads[l] = dz.T @ a_prev
         b_grads[l] = dz.sum(axis=0)

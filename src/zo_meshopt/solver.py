@@ -7,16 +7,23 @@ applied to w = alpha * u:
                    - w_i     / (hL * hR)
                    + w_{i+1} / (hR * (hL + hR)) ]
 
-with hL, hR the neighbouring gaps.  The interior system is solved directly:
-dense LU at the problem sizes used here, sparse LU past a few thousand
-unknowns.  Every solve verifies its own residual before returning.
+with hL, hR the neighbouring gaps.  The interior operator is a Kronecker
+sum T_y (x) I + I (x) T_x of two tridiagonal axis operators, so it is
+solved by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+one small eigenproblem per axis and four matrix products, at every mesh
+size.  On a non-uniform axis T is not symmetric, but T = M^-1 S with S
+symmetric tridiagonal (diagonal 1/hL + 1/hR, off-diagonals -1/h) and
+M = diag((hL + hR) / 2).  The eigenvectors of the symmetric M^-1/2 S M^-1/2
+are orthonormal and stable to compute, and scaling them by M^-1/2 gives
+T's eigenvectors with an inverse in closed form.  Every solve verifies its
+own residual, with the stencil applied directly, before returning.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +32,6 @@ from .grid import Field, ScenarioParams, TensorMesh, mesh_to_params, params_to_m
 from .runtime import run_ordered
 
 RESIDUAL_TOL = 1e-10
-_DENSE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -37,61 +43,54 @@ class SolveReport:
     solve_time: float
 
 
-def _axis_coeffs(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    hL = lines[1:-1] - lines[:-2]
-    hR = lines[2:] - lines[1:-1]
-    total = hL + hR
-    return 2.0 / (hL * total), -2.0 / (hL * hR), 2.0 / (hR * total)
+class _Axis(NamedTuple):
+    """One axis's operator T = -d2/dx2 on its interior nodes.
 
-
-def _system(mesh: TensorMesh):
-    """Triplet form of the negative Laplacian over interior nodes.
-
-    Interior unknowns are ordered row-major over (j, i), matching Field
-    storage restricted to the interior.
+    T has ``diag`` on the diagonal and -``lower`` / -``upper`` on the sub- and
+    super-diagonal; T = V diag(lam) V^-1.
     """
-    nx, ny = mesh.shape
-    nxi, nyi = nx - 2, ny - 2
-    if nxi < 1 or nyi < 1:
-        raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
-    cxL, cxC, cxR = _axis_coeffs(mesh.x_lines)
-    cyL, cyC, cyR = _axis_coeffs(mesh.y_lines)
-    n = nxi * nyi
-    idx = np.arange(n)
-    cols_i = idx % nxi
-    rows_j = idx // nxi
-    main = -(cyC[:, None] + cxC[None, :]).ravel()
-    west = -np.tile(cxL, nyi)
-    east = -np.tile(cxR, nyi)
-    south = -np.repeat(cyL, nxi)
-    north = -np.repeat(cyR, nxi)
-    w_ok = cols_i > 0
-    e_ok = cols_i < nxi - 1
-    s_ok = rows_j > 0
-    n_ok = rows_j < nyi - 1
-    rows = np.concatenate([idx, idx[w_ok], idx[e_ok], idx[s_ok], idx[n_ok]])
-    cols = np.concatenate(
-        [idx, idx[w_ok] - 1, idx[e_ok] + 1, idx[s_ok] - nxi, idx[n_ok] + nxi]
-    )
-    data = np.concatenate([main, west[w_ok], east[e_ok], south[s_ok], north[n_ok]])
-    return n, rows, cols, data
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    lam: np.ndarray
+    v: np.ndarray
+    v_inv: np.ndarray
 
 
-def _matvec(n: int, rows, cols, data, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(n)
-    np.add.at(out, rows, data * vec[cols])
+def _axis(lines: np.ndarray) -> _Axis:
+    gaps = np.diff(lines)
+    inv_gap = 1.0 / gaps
+    m = 0.5 * (gaps[:-1] + gaps[1:])
+    lower = inv_gap[:-1] / m
+    upper = inv_gap[1:] / m
+    diag = lower + upper
+    # M^1/2 T M^-1/2 = M^-1/2 S M^-1/2 is symmetric; eigh reads only its
+    # lower triangle, so the super-diagonal is left empty.
+    root_m = np.sqrt(m)
+    n = m.size
+    sym = np.zeros((n, n))
+    sym.flat[:: n + 1] = diag
+    sym.flat[n :: n + 1] = -inv_gap[1:-1] / (root_m[:-1] * root_m[1:])
+    lam, q = np.linalg.eigh(sym)
+    return _Axis(lower, diag, upper, lam, q / root_m[:, None], q.T * root_m)
+
+
+def _apply_operator(ax: _Axis, ay: _Axis, w: np.ndarray) -> np.ndarray:
+    """The 5-point negative Laplacian on an (ny - 2, nx - 2) interior grid."""
+    out = (ay.diag[:, None] + ax.diag) * w
+    out[:, 1:] -= ax.lower[1:] * w[:, :-1]
+    out[:, :-1] -= ax.upper[:-1] * w[:, 1:]
+    out[1:] -= ay.lower[1:, None] * w[:-1]
+    out[:-1] -= ay.upper[:-1, None] * w[1:]
     return out
 
 
-def _solve_interior(n: int, rows, cols, data, rhs: np.ndarray) -> np.ndarray:
-    if n <= _DENSE_LIMIT:
-        dense = np.zeros((n, n))
-        dense[rows, cols] = data
-        return np.linalg.solve(dense, rhs)
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.linalg import spsolve
-
-    return spsolve(coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr(), rhs)
+def _solve_interior(ax: _Axis, ay: _Axis, rhs: np.ndarray) -> np.ndarray:
+    """Interior w with T_y w + w T_x^T = rhs, by fast diagonalization."""
+    spectral = ay.v_inv @ rhs @ ax.v_inv.T
+    spectral /= ay.lam[:, None] + ax.lam
+    return ay.v @ spectral @ ax.v.T
 
 
 def _solve(
@@ -99,31 +98,32 @@ def _solve(
     params: ScenarioParams,
     rhs_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> SolveReport:
+    """rhs_fn gets the interior x lines as a row and y lines as a column and
+    returns the (ny - 2, nx - 2) source grid."""
     start = time.perf_counter()
     nx, ny = mesh.shape
-    nxi, nyi = nx - 2, ny - 2
-    n, rows, cols, data = _system(mesh)
-    xi = np.tile(mesh.x_lines[1:-1], nyi)
-    yi = np.repeat(mesh.y_lines[1:-1], nxi)
-    rhs = np.asarray(rhs_fn(xi, yi), dtype=float)
-    w = _solve_interior(n, rows, cols, data, rhs)
+    if nx < 3 or ny < 3:
+        raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
+    ax, ay = _axis(mesh.x_lines), _axis(mesh.y_lines)
+    rhs = np.asarray(rhs_fn(mesh.x_lines[1:-1], mesh.y_lines[1:-1, None]), dtype=float)
+    w = _solve_interior(ax, ay, rhs)
     if not np.all(np.isfinite(w)):
         raise SolverError(f"linear solve on a {nx}x{ny} mesh produced non-finite values")
     u = w / params.alpha
-    residual = float(np.max(np.abs(_matvec(n, rows, cols, data, params.alpha * u) - rhs)))
+    residual = float(np.max(np.abs(_apply_operator(ax, ay, params.alpha * u) - rhs)))
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
         raise SolverError(
             f"solve residual {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}",
             residual=residual,
         )
     full = np.zeros((ny, nx))
-    full[1:-1, 1:-1] = u.reshape(nyi, nxi)
+    full[1:-1, 1:-1] = u
     return SolveReport(Field(full.ravel(), mesh.shape), residual, time.perf_counter() - start)
 
 
 def solve_poisson(mesh: TensorMesh, params: ScenarioParams) -> SolveReport:
     """Solve -lap(alpha * u) = 1 with u = 0 on the boundary."""
-    return _solve(mesh, params, lambda x, y: np.ones_like(x))
+    return _solve(mesh, params, lambda x, y: np.ones((y.size, x.size)))
 
 
 def solve_manufactured(mesh: TensorMesh, params: ScenarioParams) -> SolveReport:

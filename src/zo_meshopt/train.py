@@ -127,6 +127,10 @@ class TrainState:
     adam_net: AdamState
     adam_mesh: AdamState
     epoch: int
+    # (alpha, prediction, fine truth) per test scenario from the last epoch's
+    # test evaluation, i.e. with the final mesh and network; empty if no
+    # epoch ran.
+    test_outputs: tuple[tuple[float, Field, Field], ...] = ()
 
 
 class SolveCounter:
@@ -379,6 +383,7 @@ def train_run(
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     est_calls = 0
     metrics: list[EpochMetrics] = []
+    test_outputs: list[tuple[float, Field, Field]] = []
     start = time.perf_counter()
     try:
         for epoch in range(config.epochs):
@@ -432,14 +437,15 @@ def train_run(
                     except NonFiniteGradient as err:
                         log.warning("epoch %d: skipping mesh update: %s", epoch, err)
             if config.test_alphas:
-                per_alpha = []
+                test_outputs = []
                 for alpha in config.test_alphas:
                     truth = fine_truth(alpha)
                     _, cache, _, _ = loss_forward(
                         coarse, netp, ScenarioParams(alpha), fine_mesh, truth, solve=solve
                     )
-                    per_alpha.append(rmse(Field(cache.predictions[:, 0], fine_mesh.shape), truth))
-                test_rmse = float(np.mean(per_alpha))
+                    pred = Field(cache.predictions[:, 0], fine_mesh.shape)
+                    test_outputs.append((alpha, pred, truth))
+                test_rmse = float(np.mean([rmse(pred, truth) for _, pred, truth in test_outputs]))
             else:
                 test_rmse = float("nan")
             metrics.append(
@@ -456,21 +462,9 @@ def train_run(
         write_metrics_csv(out / "metrics.csv", metrics, incomplete=True)
         raise
     write_metrics_csv(out / "metrics.csv", metrics)
-    state = TrainState(coarse, netp, adam_net, adam_mesh, config.epochs)
+    state = TrainState(coarse, netp, adam_net, adam_mesh, config.epochs, tuple(test_outputs))
     write_checkpoint(out / "checkpoint.json", config, state)
     return metrics, state
-
-
-def predictions_for(
-    state_mesh: TensorMesh,
-    net_params: net.MlpParams,
-    scenario: ScenarioParams,
-    fine_mesh: TensorMesh,
-    fine_field: Field,
-) -> Field:
-    """Forward pass of a trained model on one scenario."""
-    _, cache, _, _ = loss_forward(state_mesh, net_params, scenario, fine_mesh, fine_field)
-    return Field(cache.predictions[:, 0], fine_mesh.shape)
 
 
 def scale_sweep(

@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, overrides, artifact layout."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zo_meshopt.cli as cli
+import zo_meshopt.solver as solver_mod
 import zo_meshopt.train as train_mod
 from zo_meshopt.errors import SolverError
+from zo_meshopt.grid import read_field_csv
 
 
 def write_config(path, **overrides):
@@ -37,6 +43,48 @@ def test_train_happy_path(tmp_path, capsys):
     assert (base / "checkpoint.json").exists()
     assert (base / "pred_alpha_1.csv").exists()
     assert (base / "truth_alpha_1.csv").exists()
+
+
+def test_train_counts_every_solve(tmp_path, monkeypatch):
+    """The train command solves nothing beyond the final n_solver_evals, and
+    its prediction CSVs are the final epoch's test evaluation."""
+    calls = []
+    inner = solver_mod._solve
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return inner(*args)
+
+    monkeypatch.setattr(solver_mod, "_solve", counted)
+    cfg = write_config(tmp_path / "c.json", mesh_mode="gaussian", test_alphas=[1.0, 1.2],
+                       estimator={"kind": "gaussian", "b": 2})
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    config = cli.load_config(str(cfg))
+    last = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[-1].split(",")
+    assert len(calls) == int(last[3]) == train_mod.declared_evals(config)
+    per = []
+    for alpha in config.test_alphas:
+        pred = read_field_csv(tmp_path / "out" / f"pred_alpha_{alpha:g}.csv")
+        truth = read_field_csv(tmp_path / "out" / f"truth_alpha_{alpha:g}.csv")
+        per.append(train_mod.rmse(pred, truth))
+    assert float(np.mean(per)) == float(last[2])
+
+
+def test_train_does_not_import_scipy(tmp_path):
+    """The package is numpy only: a training run loads no scipy module, also
+    with a truth mesh of more than 4096 unknowns."""
+    cfg = write_config(tmp_path / "c.json", fine_n=67)
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from zo_meshopt import cli\n"
+        f"assert cli.main(['train', '--config', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

@@ -48,20 +48,45 @@ def dense_operator_oracle(mesh):
     return a
 
 
-def test_assembly_matches_dense_oracle():
+def _random_lines(rng, n):
+    return np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, n - 2)), [1.0]])
+
+
+def _oracle_meshes():
+    """Uniform, random non-uniform, non-square, and gaps close to s_min."""
     rng = np.random.default_rng(11)
-    for trial in range(5):
-        kx = np.sort(rng.uniform(0.1, 0.9, 4))
-        ky = np.sort(rng.uniform(0.1, 0.9, 3))
-        mesh = TensorMesh(np.concatenate([[0.0], kx, [1.0]]),
-                          np.concatenate([[0.0], ky, [1.0]]))
-        n, rows, cols, data = solver_mod._system(mesh)
+    tight = np.array([0.0, 1.01e-4, 2.02e-4, 0.5, 0.50011, 0.9997, 0.99985, 1.0])
+    return [
+        uniform_mesh(9),
+        uniform_mesh(5, 11),
+        *(TensorMesh(_random_lines(rng, 6), _random_lines(rng, 5)) for _ in range(3)),
+        TensorMesh(_random_lines(rng, 13), _random_lines(rng, 4)),
+        TensorMesh(tight, np.linspace(0.0, 1.0, 9)),
+        TensorMesh(tight, tight),
+    ]
+
+
+def test_assembly_matches_dense_oracle():
+    """The residual check's stencil apply, column by column, is the oracle."""
+    for mesh in _oracle_meshes():
+        nx, ny = mesh.shape
         a_oracle = dense_operator_oracle(mesh)
-        for k in range(n):
-            e = np.zeros(n)
+        scale = np.max(np.abs(a_oracle))
+        ax, ay = solver_mod._axis(mesh.x_lines), solver_mod._axis(mesh.y_lines)
+        for k in range(a_oracle.shape[0]):
+            e = np.zeros((ny - 2) * (nx - 2))
             e[k] = 1.0
-            col = solver_mod._matvec(n, rows, cols, data, e)
-            assert np.allclose(col, a_oracle[:, k], rtol=0, atol=1e-13)
+            col = solver_mod._apply_operator(ax, ay, e.reshape(ny - 2, nx - 2)).ravel()
+            assert np.allclose(col, a_oracle[:, k], rtol=0, atol=1e-15 * scale)
+
+
+def test_solve_matches_dense_oracle_solve():
+    for mesh in _oracle_meshes():
+        for alpha in (1.0, 0.9):
+            grid = solve_poisson(mesh, ScenarioParams(alpha=alpha)).field.as_grid()
+            a_oracle = dense_operator_oracle(mesh)
+            expected = np.linalg.solve(a_oracle, np.ones(a_oracle.shape[0])) / alpha
+            assert np.allclose(grid[1:-1, 1:-1].ravel(), expected, rtol=0, atol=1e-12)
 
 
 def test_center_value_3x3_unit_alpha():
@@ -126,22 +151,20 @@ def test_non_uniform_mesh_still_second_order_sane():
     assert np.max(np.abs(report.field.values - exact)) < 0.05
 
 
-def test_dense_and_sparse_paths_agree(monkeypatch):
-    mesh = uniform_mesh(9)
-    params = ScenarioParams(alpha=0.9)
-    dense = solve_poisson(mesh, params).field.values
-    monkeypatch.setattr(solver_mod, "_DENSE_LIMIT", 0)
-    sparse = solve_poisson(mesh, params).field.values
-    assert np.allclose(dense, sparse, rtol=0, atol=1e-12)
-
-
 def test_residual_guard_raises(monkeypatch):
     mesh = uniform_mesh(5)
+    good = solver_mod._solve_interior
 
-    def bad_solve(n, rows, cols, data, rhs):
-        return np.ones(n)
+    def corrupted(ax, ay, rhs):
+        w = good(ax, ay, rhs)
+        w[1, 2] += 1e-6
+        return w
 
-    monkeypatch.setattr(solver_mod, "_solve_interior", bad_solve)
+    monkeypatch.setattr(solver_mod, "_solve_interior", corrupted)
+    with pytest.raises(SolverError) as info:
+        solve_poisson(mesh, ScenarioParams(alpha=1.0))
+    assert info.value.residual > RESIDUAL_TOL
+    monkeypatch.setattr(solver_mod, "_solve_interior", lambda ax, ay, rhs: np.full_like(rhs, np.nan))
     with pytest.raises(SolverError):
         solve_poisson(mesh, ScenarioParams(alpha=1.0))
 
