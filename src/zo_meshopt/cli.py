@@ -22,6 +22,7 @@ from .grid import (
     nearest_upsample,
     upsample_adjoint,
     write_field_csv,
+    write_text_atomic,
 )
 from .solver import exact_mesh_vjp, make_evaluate
 from .train import (
@@ -233,7 +234,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
             print(f"b={b} d={d}: final test_rmse={metrics[-1].test_rmse:.6e}")
         out.mkdir(parents=True, exist_ok=True)
-        (out / "bd_sweep.csv").write_text("\n".join(rows) + "\n")
+        write_text_atomic(out / "bd_sweep.csv", "\n".join(rows) + "\n")
     return 0
 
 

@@ -10,6 +10,7 @@ flat index j * nx + i, so each stored row follows one y-line.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,16 @@ DEFAULT_MIN_GAP = 1e-4
 
 
 def _validate_lines(lines: np.ndarray, s_min: float, axis: str) -> None:
+    # One pass for the common, valid case; NaN and inf fail it.  Anything
+    # else falls through to the checks below, which name what is wrong.
+    if (
+        lines.ndim == 1
+        and lines.size >= 2
+        and lines[0] == 0.0
+        and lines[-1] == 1.0
+        and (lines[1:] - lines[:-1]).min() >= s_min
+    ):
+        return
     if lines.ndim != 1 or lines.size < 2:
         raise ValueError(f"{axis}_lines must contain at least the two boundary lines")
     if not np.all(np.isfinite(lines)):
@@ -157,12 +168,32 @@ def mesh_to_params(mesh: TensorMesh) -> np.ndarray:
     return np.concatenate([mesh.x_lines[1:-1], mesh.y_lines[1:-1]])
 
 
-def _project_lines(interior: np.ndarray, s_min: float) -> np.ndarray:
-    k = interior.size
+def _check_room(k: int, s_min: float) -> None:
     if (k + 1) * s_min > 1.0 - 1e-9:
         raise ValueError(
             f"cannot fit {k} interior lines in the unit interval with gap {s_min}"
         )
+
+
+def _project_lines(interior: np.ndarray, s_min: float) -> np.ndarray:
+    """Boundary-pinned, sorted lines with every gap >= s_min.
+
+    When the sorted lines already keep every gap >= s_min they are returned
+    as they are, which is exactly what the clamping sweep of
+    _project_lines_loop would return; only input with a short gap pays for
+    the sweep.
+    """
+    _check_room(interior.size, s_min)
+    lines = np.concatenate(([0.0], np.sort(interior), [1.0]))
+    if (lines[1:] - lines[:-1]).min() >= s_min:
+        return lines
+    return _project_lines_loop(interior, s_min)
+
+
+def _project_lines_loop(interior: np.ndarray, s_min: float) -> np.ndarray:
+    """The clamping sweep: sort, then clamp each line into [lo, hi]."""
+    k = interior.size
+    _check_room(k, s_min)
     # Maximal allowed positions, built down from the top boundary with the
     # subtraction re-checked so the stored gaps never round below s_min.
     tops = np.empty(k + 1)
@@ -253,13 +284,26 @@ def upsample_adjoint(coarse: TensorMesh, fine: TensorMesh, fine_cotangent: Field
 _HEADER_RE = re.compile(r"# nx=(\d+) ny=(\d+)")
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text through a temp file in the same directory, then rename it
+    over path, so a crash or an interrupt leaves the old file or the new
+    one, never a partial one, and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_field_csv(field: Field, path: str | Path) -> None:
     """One row per y-line, comma-separated, after a '# nx=.. ny=..' header."""
     nx, ny = field.mesh_shape
     lines = [f"# nx={nx} ny={ny}"]
     for row in field.as_grid():
         lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_field_csv(path: str | Path) -> Field:

@@ -1,44 +1,21 @@
-"""Worker-pool plumbing.
+"""Ordered evaluation of independent forward calls.
 
-ZO_MESHOPT_THREADS caps how many threads evaluate independent solves at the
-same time; unset means one worker per available core.  It is read, and
-validated, by every call with two or more items; a single item runs inline.
-Results always come back in submission order, so parallel execution never
-changes numbers.
+``run_ordered`` evaluates its items inline, one after another, in the
+calling thread: a coarse solve costs less than handing it to a worker pool
+would.  The estimator and the central-difference oracle still route their
+batches through this one function because the benchmark's tracer
+(``bench/layertrace.py``) wraps ``runtime.run_ordered`` to time each batch;
+the module can go once the tracer stops doing so.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from .errors import ConfigError
-
-THREADS_ENV = "ZO_MESHOPT_THREADS"
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
-
 def run_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Apply fn to every item, in parallel when allowed, preserving order."""
-    todo: Sequence[T] = list(items)
-    workers = min(max_workers(), len(todo)) if len(todo) > 1 else 1
-    if workers == 1:
-        return [fn(item) for item in todo]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, todo))
+    """Apply fn to every item in order and return the results in that order."""
+    return [fn(item) for item in items]

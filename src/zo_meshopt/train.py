@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import net
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 from .grid import (
     Field,
     ScenarioParams,
@@ -31,6 +30,7 @@ from .grid import (
     params_to_mesh,
     uniform_mesh,
     upsample_adjoint,
+    write_text_atomic,
 )
 from .optim import AdamState, NonFiniteGradient, adam_step, init_adam
 from .solver import exact_mesh_vjp, make_evaluate, solve_poisson
@@ -138,12 +138,10 @@ class SolveCounter:
 
     def __init__(self):
         self.count = 0
-        self._lock = threading.Lock()
 
     def wrap(self, solve):
         def counted(mesh, scenario):
-            with self._lock:
-                self.count += 1
+            self.count += 1
             return solve(mesh, scenario)
 
         return counted
@@ -307,7 +305,7 @@ def write_metrics_csv(path: str | Path, metrics, incomplete: bool = False) -> No
         )
     if incomplete:
         rows.append(INCOMPLETE_MARKER)
-    Path(path).write_text("\n".join(rows) + "\n")
+    write_text_atomic(path, "\n".join(rows) + "\n")
 
 
 def _adam_to_dict(state: AdamState) -> dict:
@@ -346,7 +344,7 @@ def write_checkpoint(path: str | Path, config: TrainConfig, state: TrainState) -
         },
         "epoch": state.epoch,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def train_run(
@@ -357,8 +355,9 @@ def train_run(
 ) -> tuple[list[EpochMetrics], TrainState]:
     """Run the full training loop; writes metrics.csv and checkpoint.json.
 
-    On a solver failure the metrics collected so far are flushed with a
-    trailing incomplete marker and the error re-raised.
+    On any exception, KeyboardInterrupt included, the metrics collected so
+    far are flushed with a trailing incomplete marker and the exception
+    re-raised.
     """
     config.validate()
     out = Path(config.out_dir)
@@ -458,7 +457,7 @@ def train_run(
                     wall_time=time.perf_counter() - start,
                 )
             )
-    except SolverError:
+    except BaseException:
         write_metrics_csv(out / "metrics.csv", metrics, incomplete=True)
         raise
     write_metrics_csv(out / "metrics.csv", metrics)
@@ -492,7 +491,7 @@ def scale_sweep(
                 f"{float(m.test_rmse)!r},{m.n_solver_evals},{float(m.mesh_delta)!r},"
                 f"{float(m.wall_time)!r}"
             )
-    (out / "scales.csv").write_text("\n".join(rows) + "\n")
+    write_text_atomic(out / "scales.csv", "\n".join(rows) + "\n")
     return results
 
 
@@ -539,5 +538,5 @@ def dynamic_sweep(
         rows.append(
             f"{t},{alpha!r},{rec.initial_loss!r},{rec.final_loss!r},{rec.n_solver_evals}"
         )
-    (out / "dynamic.csv").write_text("\n".join(rows) + "\n")
+    write_text_atomic(out / "dynamic.csv", "\n".join(rows) + "\n")
     return records

@@ -110,13 +110,14 @@ def test_gaussian_single_draw_mean_unbiased():
     def f(x):
         return 0.5 * float(x @ x)
 
-    mean, _ = estimator_stats(f, np.array([1.0, 0.0]), spec, 100_000)
+    mean, var = estimator_stats(f, np.array([1.0, 0.0]), spec, 100_000)
     err = np.abs(mean - np.array([1.0, 0.0]))
     elapsed = time.perf_counter() - t0
     ok = err[0] <= 0.05 and err[1] <= 0.05 and elapsed < 10.0
     verdict("gaussian-unbiasedness", ok,
             f"mean=({mean[0]:+.4f}, {mean[1]:+.4f}) err=({err[0]:.4f}, {err[1]:.4f})", t0)
     assert err[0] <= 0.05 and err[1] <= 0.05
+    assert var[0] > 0.0
     assert elapsed < 10.0
 
 

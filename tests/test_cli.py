@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, overrides, artifact layout."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -200,3 +201,14 @@ def test_entry_point_installed():
     proc = subprocess.run(["zo-meshopt", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "train" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_python_dash_m_runs_gradcheck():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "zo_meshopt", "gradcheck"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 4 and all(line.endswith("PASS") for line in lines)

@@ -1,12 +1,17 @@
 """Mesh containers, feasibility projection, and nearest-neighbour transfer."""
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import zo_meshopt.grid as grid_mod
 from zo_meshopt.grid import (
     DEFAULT_MIN_GAP,
     Field,
     TensorMesh,
+    _project_lines,
+    _project_lines_loop,
     init_coarse_from_fine,
     mesh_to_params,
     nearest_upsample,
@@ -15,6 +20,7 @@ from zo_meshopt.grid import (
     uniform_mesh,
     upsample_adjoint,
     write_field_csv,
+    write_text_atomic,
 )
 
 
@@ -111,6 +117,86 @@ def test_projection_crowded_top_and_bottom():
         assert np.all(np.diff(m1.x_lines) >= m.s_min)
         m2 = params_to_mesh(m, mesh_to_params(m1))
         assert np.array_equal(m1.x_lines, m2.x_lines)
+
+
+def _ulps(x, n):
+    """x moved n units in the last place (down for negative n)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def interior_lines(draw):
+    """Unsorted interior lines stacked from one boundary, with gaps at s_min,
+    a few ulps either side of it, or anywhere, plus stray values; too many
+    lines for the gap make the input infeasible.  Half the cases draw no gap
+    below s_min and no stray, so they mostly take the fast path."""
+    s_min = draw(st.sampled_from([DEFAULT_MIN_GAP, 1e-3, 0.05, 0.2, 0.25, 1.0 / 3.0]))
+    from_top = draw(st.booleans())
+    lowest_ulps = draw(st.sampled_from([-3, 0]))
+    kinds = ["tight", "tight", "free", "free"] + ["stray"] * (lowest_ulps < 0)
+    pos = 1.0 if from_top else 0.0
+    lines = []
+    for _ in range(draw(st.integers(0, min(12, int(1.0 / s_min))))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "stray":
+            lines.append(draw(st.floats(-0.5, 1.5)))
+            continue
+        if kind == "tight":
+            gap = _ulps(s_min, draw(st.integers(lowest_ulps, 3)))
+        else:
+            least = 0.0 if lowest_ulps < 0 else s_min
+            gap = draw(st.floats(least, least + 0.15))
+        pos = pos - gap if from_top else pos + gap
+        lines.append(pos)
+    order = draw(st.permutations(range(len(lines))))
+    return np.array([lines[i] for i in order], dtype=float), s_min
+
+
+@settings(max_examples=500, deadline=None)
+@given(interior_lines())
+@example((np.array([0.5, 0.25, 0.75]), 0.25))  # exact fit: the loop refuses it
+def test_projection_fast_path_matches_loop(case):
+    interior, s_min = case
+    try:
+        want = _project_lines_loop(interior, s_min)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            _project_lines(interior, s_min)
+        return
+    assert _project_lines(interior, s_min).tobytes() == want.tobytes()
+
+
+def test_feasible_lines_skip_the_sweep(monkeypatch):
+    def no_sweep(interior, s_min):
+        raise AssertionError("feasible lines went through the sweep")
+
+    monkeypatch.setattr(grid_mod, "_project_lines_loop", no_sweep)
+    interior = np.array([0.75, DEFAULT_MIN_GAP, 0.5, 0.9])
+    assert np.array_equal(
+        _project_lines(interior, DEFAULT_MIN_GAP), [0.0, DEFAULT_MIN_GAP, 0.5, 0.75, 0.9, 1.0]
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_lines(bad):
+    good = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        TensorMesh(np.array([0.0, 0.5, bad, 1.0]), good)
+    with pytest.raises(ValueError, match="non-finite"):
+        TensorMesh(good, np.array([0.0, bad, 1.0]))
+
+
+def test_write_text_atomic_replaces_and_cleans_up(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text_atomic(path, "old\n")
+    write_text_atomic(path, "new\n")
+    assert path.read_text() == "new\n"
+    with pytest.raises(TypeError):
+        write_text_atomic(path, None)
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_init_coarse_from_fine_subsamples():

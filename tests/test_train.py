@@ -1,12 +1,15 @@
 """Hybrid training loop: loss oracles, budgets, determinism, failure paths."""
 import dataclasses
 import json
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zo_meshopt.train as train_mod
 from zo_meshopt import net
+from zo_meshopt.cli import load_config
 from zo_meshopt.errors import ConfigError, SolverError
 from zo_meshopt.grid import Field, ScenarioParams, nearest_upsample, uniform_mesh
 from zo_meshopt.solver import solve_poisson
@@ -26,6 +29,8 @@ from zo_meshopt.train import (
     train_run,
 )
 from zo_meshopt.zo import EstimatorSpec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**kw):
@@ -269,6 +274,44 @@ def test_solver_error_flushes_incomplete_marker(tmp_path, monkeypatch):
     text = (tmp_path / "boom" / "metrics.csv").read_text()
     assert text.rstrip().endswith(INCOMPLETE_MARKER)
     assert text.startswith(METRICS_HEADER)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_any_exception_flushes_marked_metrics_without_temp_files(tmp_path, monkeypatch, error):
+    real_solve = train_mod.solve_poisson
+    state = {"n": 0}
+
+    def failing(mesh, params):
+        state["n"] += 1
+        if state["n"] == 9:
+            raise error("synthetic failure")
+        return real_solve(mesh, params)
+
+    monkeypatch.setattr(train_mod, "solve_poisson", failing)
+    out = tmp_path / "boom"
+    with pytest.raises(error):
+        train_run(tiny_config(epochs=5, out_dir=str(out)))
+    rows = (out / "metrics.csv").read_text().splitlines()
+    # call 9 is epoch 1's first solve, so epoch 0 is the one finished epoch
+    assert rows[0] == METRICS_HEADER and rows[1].startswith("0,")
+    assert rows[2:] == [INCOMPLETE_MARKER]
+    assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+
+
+def test_joint_desk_training_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    config = dataclasses.replace(
+        load_config(str(ROOT / "configs" / "desk.json")),
+        epochs=3,
+        warm_start_epochs=1,
+        out_dir=str(tmp_path / "desk"),
+    )
+    metrics, _ = train_run(config)
+    assert metrics[-1].n_solver_evals == declared_evals(config)
+    assert metrics[-1].mesh_delta > 0.0
 
 
 def test_checkpoint_contents(tmp_path):

@@ -165,18 +165,6 @@ def test_estimate_linear_in_cotangent(seed, scale_pow):
     assert np.array_equal(e2, s * e1)
 
 
-def test_gaussian_mean_documented_seed():
-    """1e5 single-draw estimates of grad(0.5*||x||^2) at (1, 0), seed 123."""
-    def f(x):
-        return 0.5 * float(x @ x)
-
-    spec = EstimatorSpec(kind="gaussian", mu=1e-3, b=1, seed=123)
-    mean, var = estimator_stats(f, np.array([1.0, 0.0]), spec, trials=10**5)
-    assert abs(mean[0] - 1.0) <= 0.05
-    assert abs(mean[1]) <= 0.05
-    assert var[0] > 0.0
-
-
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 def test_estimator_stats_equals_repeated_scalar_calls(kind):
     """Trial i is zo_grad_scalar with seed spec.seed + i, bit for bit; a
