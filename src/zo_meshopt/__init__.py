@@ -28,7 +28,6 @@ from .train import (
     EpochMetrics,
     TrainConfig,
     declared_evals,
-    dynamic_sweep,
     loss_backward,
     loss_forward,
     mesh_grad,
@@ -55,7 +54,6 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "declared_evals",
-    "dynamic_sweep",
     "exact_mesh_vjp",
     "estimator_stats",
     "init_adam",

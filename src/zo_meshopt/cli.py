@@ -28,7 +28,6 @@ from .solver import exact_mesh_vjp, make_evaluate
 from .train import (
     MESH_MODES,
     TrainConfig,
-    dynamic_sweep,
     scale_sweep,
     train_run,
 )
@@ -37,7 +36,6 @@ from .zo import EstimatorSpec, zo_vjp
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorSpec)}
 _BD_GRID = [(b, d) for b in (1, 2, 4, 8) for d in (4, 8, 16)]
-_DYNAMIC_ALPHAS = (0.5, 0.6, 0.7, 0.8, 0.9)
 _SCALE_COARSE = (5, 7, 9)
 
 
@@ -210,13 +208,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(
                 f"scale {coarse_n}x{fine_n}: final train_loss={metrics[-1].train_loss:.6e}"
             )
-    elif args.what == "dynamic":
-        records = dynamic_sweep(config, _DYNAMIC_ALPHAS)
-        for rec in records:
-            print(
-                f"step {rec.step} alpha={rec.alpha:g}: initial={rec.initial_loss:.6e} "
-                f"final={rec.final_loss:.6e}"
-            )
     else:
         rows = ["b,d,epoch,train_loss,test_rmse,n_solver_evals"]
         for b, d in _BD_GRID:
@@ -262,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grad_p.set_defaults(func=cmd_gradcheck)
 
     sweep_p = sub.add_parser("sweep", help="run a preset experiment sweep")
-    sweep_p.add_argument("what", choices=("scales", "dynamic", "bd"))
+    sweep_p.add_argument("what", choices=("scales", "bd"))
     sweep_p.add_argument("--config", required=True, help="JSON config file")
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
@@ -285,3 +276,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

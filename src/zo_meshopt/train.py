@@ -347,12 +347,7 @@ def write_checkpoint(path: str | Path, config: TrainConfig, state: TrainState) -
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def train_run(
-    config: TrainConfig,
-    *,
-    init_mesh: TensorMesh | None = None,
-    init_net: net.MlpParams | None = None,
-) -> tuple[list[EpochMetrics], TrainState]:
+def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     """Run the full training loop; writes metrics.csv and checkpoint.json.
 
     On any exception, KeyboardInterrupt included, the metrics collected so
@@ -373,9 +368,9 @@ def train_run(
             truths[alpha] = solve(fine_mesh, ScenarioParams(alpha)).field
         return truths[alpha]
 
-    coarse = init_mesh if init_mesh is not None else initial_coarse_mesh(config)
+    coarse = initial_coarse_mesh(config)
     params0 = mesh_to_params(coarse)
-    netp = init_net if init_net is not None else net.init_params(NET_DIMS, config.seed)
+    netp = net.init_params(NET_DIMS, config.seed)
     mesh_lr = config.lr if config.mesh_lr is None else config.mesh_lr
     adam_net = init_adam(net.flatten(netp).size, config.lr)
     adam_mesh = init_adam(max(params0.size, 1), mesh_lr)
@@ -493,50 +488,3 @@ def scale_sweep(
             )
     write_text_atomic(out / "scales.csv", "\n".join(rows) + "\n")
     return results
-
-
-@dataclass(frozen=True)
-class DynamicStep:
-    step: int
-    alpha: float
-    initial_loss: float
-    final_loss: float
-    n_solver_evals: int
-
-
-def dynamic_sweep(
-    config: TrainConfig, alpha_series, iterations: int = 50
-) -> list[DynamicStep]:
-    """Track a drifting scenario: per alpha, a short joint optimization that
-    warm-starts the network and mesh from the previous step."""
-    series = [float(a) for a in alpha_series]
-    if not series:
-        raise ConfigError("alpha series must not be empty")
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    records = []
-    rows = ["step,alpha,initial_train_loss,final_train_loss,n_solver_evals"]
-    mesh_state: TensorMesh | None = None
-    net_state: net.MlpParams | None = None
-    for t, alpha in enumerate(series):
-        cfg = replace(
-            config,
-            train_alphas=(alpha,),
-            test_alphas=(),
-            epochs=iterations,
-            warm_start_epochs=0,
-            out_dir=str(out / f"dynamic_{t}"),
-        )
-        metrics, state = train_run(cfg, init_mesh=mesh_state, init_net=net_state)
-        mesh_state, net_state = state.mesh, state.net
-        rec = DynamicStep(
-            t, alpha, metrics[0].train_loss, metrics[-1].train_loss, metrics[-1].n_solver_evals
-        )
-        records.append(rec)
-        rows.append(
-            f"{t},{alpha!r},{rec.initial_loss!r},{rec.final_loss!r},{rec.n_solver_evals}"
-        )
-    write_text_atomic(out / "dynamic.csv", "\n".join(rows) + "\n")
-    return records

@@ -212,3 +212,15 @@ def test_python_dash_m_runs_gradcheck():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 4 and all(line.endswith("PASS") for line in lines)
+
+
+def test_python_dash_m_cli_module_trains(tmp_path):
+    """``python -m zo_meshopt.cli train`` runs training, not just an import."""
+    cfg = write_config(tmp_path / "c.json")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "zo_meshopt.cli", "train", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "metrics.csv").is_file()

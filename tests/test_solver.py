@@ -198,3 +198,50 @@ def test_exact_mesh_vjp_matches_dense_jacobian():
         jac_v[k] = float(v.values @ (op - om)) / (2.0 * h)
     got = exact_mesh_vjp(mesh, params, v)
     assert np.allclose(got, jac_v, rtol=1e-9, atol=1e-12)
+
+
+def _cache_misses():
+    return solver_mod._axis_of.cache_info().misses
+
+
+def test_cached_axes_equal_fresh_factorizations_and_are_read_only():
+    solver_mod._axis_of.cache_clear()
+    for mesh in _oracle_meshes():
+        solve_poisson(mesh, ScenarioParams(alpha=0.9))
+        for lines in (mesh.x_lines, mesh.y_lines):
+            cached = solver_mod._axis(lines)
+            fresh = solver_mod._axis_of.__wrapped__(lines.tobytes())
+            assert cached is solver_mod._axis(lines.copy())
+            for name, got, want in zip(solver_mod._Axis._fields, cached, fresh):
+                assert np.array_equal(got, want), name
+                assert not got.flags.writeable, name
+
+
+def test_exact_oracle_factorizes_each_axis_once_across_alphas():
+    rng = np.random.default_rng(4)
+    mesh = TensorMesh(_random_lines(rng, 17), _random_lines(rng, 17))
+    v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+    n_params = 2 * (17 - 2)
+    solver_mod._axis_of.cache_clear()
+    for alpha in (0.90, 0.91, 0.92, 0.93, 0.94, 0.95):
+        exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
+    assert 0 < _cache_misses() <= 2 * n_params + 2
+
+
+def test_uniform_mesh_factorizes_one_axis_for_all_alphas():
+    mesh = uniform_mesh(33)
+    solver_mod._axis_of.cache_clear()
+    for alpha in np.linspace(0.9, 0.95, 9):
+        solve_poisson(mesh, ScenarioParams(alpha))
+    assert _cache_misses() == 1
+
+
+def test_axis_cache_stays_bounded():
+    rng = np.random.default_rng(8)
+    solver_mod._axis_of.cache_clear()
+    for _ in range(solver_mod._AXIS_CACHE_SIZE):
+        solve_poisson(TensorMesh(_random_lines(rng, 5), _random_lines(rng, 6)),
+                      ScenarioParams(1.0))
+    info = solver_mod._axis_of.cache_info()
+    assert info.misses == 2 * solver_mod._AXIS_CACHE_SIZE
+    assert info.currsize <= solver_mod._AXIS_CACHE_SIZE
