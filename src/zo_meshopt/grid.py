@@ -267,7 +267,11 @@ def nearest_upsample(coarse: TensorMesh, field: Field, fine: TensorMesh) -> Fiel
 
 
 def upsample_adjoint(coarse: TensorMesh, fine: TensorMesh, fine_cotangent: Field) -> Field:
-    """Exact transpose of nearest_upsample: scatter-add over the same map."""
+    """Exact transpose of nearest_upsample: scatter-add over the same map.
+
+    bincount adds each fine value to its coarse node in fine-node order,
+    the same sums np.add.at would make.
+    """
     if fine_cotangent.mesh_shape != fine.shape:
         raise ValueError(
             f"cotangent shape {fine_cotangent.mesh_shape} does not match fine mesh {fine.shape}"
@@ -276,8 +280,7 @@ def upsample_adjoint(coarse: TensorMesh, fine: TensorMesh, fine_cotangent: Field
     iy = _nearest_line_index(coarse.y_lines, fine.y_lines)
     nxc, nyc = coarse.shape
     flat = (iy[:, None] * nxc + ix[None, :]).ravel()
-    acc = np.zeros(nxc * nyc)
-    np.add.at(acc, flat, fine_cotangent.values)
+    acc = np.bincount(flat, weights=fine_cotangent.values, minlength=nxc * nyc)
     return Field(acc, coarse.shape)
 
 

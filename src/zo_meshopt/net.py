@@ -2,6 +2,15 @@
 
 Everything is float64 and batch-first: features are (n, d0), predictions are
 (n, d_out).  backward differentiates sum(cotangent * predictions) exactly.
+
+Every pass writes into a ``Workspace``: one activation, ``dz`` and
+input-gradient buffer per layer, sized for n rows, so a training run that
+keeps one workspace allocates no per-layer array per step.  Aliasing rule:
+the predictions ``forward`` returns, and the input gradients ``backward``
+returns, are views into the workspace and live only until its next
+``forward``; copy them to keep them.  ``backward`` refuses a cache whose
+workspace a later ``forward`` has refilled.  ``forward`` without a workspace
+builds a fresh one, so its results are never overwritten.
 """
 
 from __future__ import annotations
@@ -47,11 +56,34 @@ class MlpGrads:
     biases: tuple[np.ndarray, ...]
 
 
+class Workspace:
+    """Reusable float64 buffers for forward and backward on n rows.
+
+    Per layer l (0-based, n_layers of them): ``activations[l]`` is
+    (n, dims[l + 1]), ``input_grads[l]`` is (n, dims[l]), and every hidden
+    layer has a ``dz`` buffer (n, dims[l + 1]); the output layer's dz is
+    the cotangent itself.  ``features`` is an (n, dims[0]) buffer a caller
+    may build its inputs in.  ``generation`` counts the forwards written.
+    """
+
+    def __init__(self, layer_dims, n: int):
+        dims = tuple(int(d) for d in layer_dims)
+        self.layer_dims = dims
+        self.n = int(n)
+        self.features = np.empty((n, dims[0]))
+        self.activations = tuple(np.empty((n, d)) for d in dims[1:])
+        self.dz = tuple(np.empty((n, d)) for d in dims[1:-1])
+        self.input_grads = tuple(np.empty((n, d)) for d in dims[:-1])
+        self.generation = 0
+
+
 @dataclass(frozen=True)
 class ForwardCache:
     params: MlpParams
     inputs: np.ndarray
     activations: tuple[np.ndarray, ...]
+    workspace: Workspace
+    generation: int
 
 
 def init_params(layer_dims, seed: int) -> MlpParams:
@@ -69,24 +101,35 @@ def init_params(layer_dims, seed: int) -> MlpParams:
     return MlpParams(dims, tuple(weights), tuple(biases), seed)
 
 
-def forward(params: MlpParams, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """tanh hidden layers, identity output; returns (predictions, cache)."""
+def forward(
+    params: MlpParams, features: np.ndarray, out: Workspace | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """tanh hidden layers, identity output; returns (predictions, cache).
+
+    Writes every layer into ``out`` (a fresh workspace when None); the
+    returned predictions are ``out.activations[-1]``.
+    """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
         raise ValueError(
             f"features must be (n, {params.layer_dims[0]}), got shape {x.shape}"
         )
+    if out is None:
+        out = Workspace(params.layer_dims, x.shape[0])
+    elif out.layer_dims != params.layer_dims or out.n != x.shape[0]:
+        raise ValueError(
+            f"workspace holds dims {out.layer_dims} for {out.n} rows, "
+            f"forward needs {params.layer_dims} for {x.shape[0]}"
+        )
+    out.generation += 1
     last = len(params.weights) - 1
     a = x
-    act = []
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        # In place: one fresh (n, width) array per layer, no temporaries.
-        a = a @ w.T
+        a = np.matmul(a, w.T, out=out.activations[l])
         a += b
         if l != last:
             np.tanh(a, out=a)
-        act.append(a)
-    return a, ForwardCache(params, x, tuple(act))
+    return a, ForwardCache(params, x, out.activations, out, out.generation)
 
 
 def backward(
@@ -94,10 +137,14 @@ def backward(
 ) -> tuple[MlpGrads, np.ndarray]:
     """Reverse-mode gradients of sum(cotangent * predictions).
 
-    Returns parameter gradients and per-row input gradients (n, d0).
+    Returns parameter gradients and per-row input gradients (n, d0); the
+    latter are ``cache.workspace.input_grads[0]``.
     """
     if cache.params is not params:
         raise ValueError("cache was produced by a different forward pass")
+    ws = cache.workspace
+    if cache.generation != ws.generation:
+        raise ValueError("cache's workspace was refilled by a later forward pass")
     cot = np.asarray(prediction_cotangent, dtype=float)
     if cot.shape != cache.activations[-1].shape:
         raise ValueError(
@@ -112,14 +159,19 @@ def backward(
         if l == n_layers - 1:
             dz = g
         else:
-            # g * (1 - act**2), built in place in one array.
-            dz = np.square(cache.activations[l])
+            # g * (1 - act**2), built in place in the layer's dz buffer.
+            dz = np.square(cache.activations[l], out=ws.dz[l])
             np.subtract(1.0, dz, out=dz)
             dz *= g
         a_prev = cache.inputs if l == 0 else cache.activations[l - 1]
         w_grads[l] = dz.T @ a_prev
         b_grads[l] = dz.sum(axis=0)
-        g = dz @ params.weights[l]
+        if dz.shape[1] == 1:
+            # An (n, 1) by (1, w) product is an outer product: one rounding
+            # per entry either way, and multiply skips the matmul machinery.
+            g = np.multiply(dz, params.weights[l], out=ws.input_grads[l])
+        else:
+            g = np.matmul(dz, params.weights[l], out=ws.input_grads[l])
     return MlpGrads(tuple(w_grads), tuple(b_grads)), g
 
 

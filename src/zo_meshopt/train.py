@@ -159,10 +159,17 @@ class LossCache:
     fine_field: Field
 
 
-def node_features(fine_mesh: TensorMesh, upsampled: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-fine-node rows [x, y, upsampled value, alpha]."""
-    xs, ys = fine_mesh.node_coords()
-    return np.column_stack([xs, ys, upsampled, np.full(xs.size, float(alpha))])
+def node_features(
+    fine_mesh: TensorMesh, upsampled: np.ndarray, alpha: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-fine-node rows [x, y, upsampled value, alpha], written into out
+    (a fresh (n, 4) array when None)."""
+    if out is None:
+        out = np.empty((fine_mesh.n_nodes, 4))
+    out[:, 0], out[:, 1] = fine_mesh.node_coords()
+    out[:, 2] = upsampled
+    out[:, 3] = float(alpha)
+    return out
 
 
 def loss_from_coarse_field(
@@ -172,11 +179,19 @@ def loss_from_coarse_field(
     coarse_field: Field,
     fine_mesh: TensorMesh,
     fine_field: Field,
+    *,
+    workspace: net.Workspace | None = None,
 ) -> tuple[float, LossCache]:
-    """MSE over all fine nodes, driven from an already-solved coarse field."""
+    """MSE over all fine nodes, driven from an already-solved coarse field.
+
+    With a workspace, features and network passes reuse its buffers, so the
+    cache's predictions live only until the workspace's next forward.
+    """
     u_up = nearest_upsample(coarse_mesh, coarse_field, fine_mesh)
-    feats = node_features(fine_mesh, u_up.values, scenario.alpha)
-    preds, cache = net.forward(net_params, feats)
+    feats = node_features(
+        fine_mesh, u_up.values, scenario.alpha, None if workspace is None else workspace.features
+    )
+    preds, cache = net.forward(net_params, feats, workspace)
     resid = preds[:, 0] - fine_field.values
     loss = float(resid @ resid / resid.size)
     return loss, LossCache(
@@ -192,13 +207,15 @@ def loss_forward(
     fine_field: Field,
     *,
     solve=solve_poisson,
-) -> tuple[float, LossCache, Field, Field]:
+    workspace: net.Workspace | None = None,
+) -> tuple[float, LossCache, Field]:
     """Coarse solve, nearest upsample, network correction, MSE against truth."""
     coarse_field = solve(coarse_mesh, scenario).field
     loss, cache = loss_from_coarse_field(
-        coarse_mesh, net_params, scenario, coarse_field, fine_mesh, fine_field
+        coarse_mesh, net_params, scenario, coarse_field, fine_mesh, fine_field,
+        workspace=workspace,
     )
-    return loss, cache, coarse_field, fine_field
+    return loss, cache, coarse_field
 
 
 def loss_backward(cache: LossCache) -> tuple[net.MlpGrads, Field]:
@@ -361,6 +378,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     solve = counter.wrap(solve_poisson)
 
     fine_mesh = uniform_mesh(config.fine_n)
+    workspace = net.Workspace(NET_DIMS, fine_mesh.n_nodes)
     truths: dict[float, Field] = {}
 
     def fine_truth(alpha: float) -> Field:
@@ -387,17 +405,18 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
             for lo in range(0, order.size, config.batch_size):
                 batch_alphas = [config.train_alphas[k] for k in order[lo : lo + config.batch_size]]
                 n_batch = len(batch_alphas)
-                entries = []
-                for alpha in batch_alphas:
-                    scenario = ScenarioParams(alpha)
-                    loss, cache, coarse_field, _ = loss_forward(
-                        coarse, netp, scenario, fine_mesh, fine_truth(alpha), solve=solve
-                    )
-                    entries.append((alpha, loss, cache, coarse_field))
-                batch_losses.append(float(np.mean([e[1] for e in entries])))
+                losses = []
                 theta_grads = []
                 mesh_g = np.zeros(params0.size)
-                for alpha, _, cache, coarse_field in entries:
+                # One scenario at a time: its backward consumes the workspace
+                # before the next scenario's forward refills it.
+                for alpha in batch_alphas:
+                    scenario = ScenarioParams(alpha)
+                    loss, cache, coarse_field = loss_forward(
+                        coarse, netp, scenario, fine_mesh, fine_truth(alpha),
+                        solve=solve, workspace=workspace,
+                    )
+                    losses.append(loss)
                     grads, v_coarse = loss_backward(cache)
                     theta_grads.append(net.flatten(grads))
                     if joint:
@@ -412,12 +431,13 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                             config.mesh_mode,
                             coarse,
                             v_scaled,
-                            ScenarioParams(alpha),
+                            scenario,
                             spec,
                             base_output=coarse_field.values,
                             solve=solve,
                         )
                         mesh_g += g
+                batch_losses.append(float(np.mean(losses)))
                 theta_grad = np.mean(np.stack(theta_grads), axis=0)
                 try:
                     adam_net, new_theta = adam_step(adam_net, net.flatten(netp), theta_grad)
@@ -434,9 +454,11 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                 test_outputs = []
                 for alpha in config.test_alphas:
                     truth = fine_truth(alpha)
-                    _, cache, _, _ = loss_forward(
-                        coarse, netp, ScenarioParams(alpha), fine_mesh, truth, solve=solve
+                    _, cache, _ = loss_forward(
+                        coarse, netp, ScenarioParams(alpha), fine_mesh, truth,
+                        solve=solve, workspace=workspace,
                     )
+                    # Field copies the predictions out of the workspace.
                     pred = Field(cache.predictions[:, 0], fine_mesh.shape)
                     test_outputs.append((alpha, pred, truth))
                 test_rmse = float(np.mean([rmse(pred, truth) for _, pred, truth in test_outputs]))

@@ -191,7 +191,7 @@ def test_differentiation_oracles():
     scenario = ScenarioParams(alpha=0.8)
     netp2 = net.init_params((4, 8, 1), seed=2)
     truth = solve_poisson(fine, scenario).field
-    _, lcache, coarse_field, _ = loss_forward(coarse, netp2, scenario, fine, truth)
+    _, lcache, coarse_field = loss_forward(coarse, netp2, scenario, fine, truth)
     _, v_coarse = loss_backward(lcache)
     w = np.random.default_rng(11).standard_normal(coarse.n_nodes)
 

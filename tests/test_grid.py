@@ -252,6 +252,30 @@ def test_upsample_adjoint_identity():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 12), st.integers(3, 12), st.integers(9, 40), st.integers(9, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_upsample_adjoint_matches_add_at_bitwise(ncx, ncy, nfx, nfy, seed):
+    """Random coarse and fine lines and cotangents spanning 20 decades, so any
+    change in summation order would show in the last bits."""
+    rng = np.random.default_rng(seed)
+
+    def lines(k):
+        return np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k - 2)), [1.0]])
+
+    coarse = TensorMesh(lines(ncx), lines(ncy), s_min=1e-9)
+    fine = TensorMesh(lines(nfx), lines(nfy), s_min=1e-9)
+    values = rng.standard_normal(fine.n_nodes) * 10.0 ** rng.uniform(-10, 10, fine.n_nodes)
+    ix = grid_mod._nearest_line_index(coarse.x_lines, fine.x_lines)
+    iy = grid_mod._nearest_line_index(coarse.y_lines, fine.y_lines)
+    want = np.zeros(coarse.n_nodes)
+    np.add.at(want, (iy[:, None] * ncx + ix[None, :]).ravel(), values)
+    got = upsample_adjoint(coarse, fine, Field(values, fine.shape))
+    assert np.array_equal(got.values, want)
+
+
 def test_upsample_adjoint_counts_hits():
     coarse = uniform_mesh(3)
     fine = uniform_mesh(9)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from zo_meshopt.errors import ConfigError
 from zo_meshopt.net import (
+    Workspace,
     flatten,
     forward,
     backward,
@@ -152,3 +153,63 @@ def test_linear_region_gradient_exact():
     assert np.allclose(grads.weights[0], x.sum(axis=0, keepdims=True), atol=1e-14)
     assert np.allclose(grads.biases[0], np.array([2.0]), atol=1e-14)
     assert np.allclose(input_grads, np.tile(params.weights[0], (2, 1)), atol=1e-14)
+
+
+def fresh_passes(params, x, cot):
+    """Forward and backward with a fresh array per layer and per product."""
+    last = len(params.weights) - 1
+    acts = []
+    a = x
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w.T
+        a += b
+        if l != last:
+            np.tanh(a, out=a)
+        acts.append(a)
+    g = cot
+    w_grads, b_grads = [None] * (last + 1), [None] * (last + 1)
+    for l in reversed(range(last + 1)):
+        dz = g if l == last else (1.0 - np.square(acts[l])) * g
+        w_grads[l] = dz.T @ (x if l == 0 else acts[l - 1])
+        b_grads[l] = dz.sum(axis=0)
+        g = dz @ params.weights[l]
+    return acts[-1], w_grads, b_grads, g
+
+
+@pytest.mark.parametrize("n", [7, 1089, 16641])
+def test_reused_workspace_matches_fresh_allocation_bitwise(n):
+    dims = (4, 32, 32, 1)
+    rng = np.random.default_rng(n)
+    ws = Workspace(dims, n)
+    for seed in (0, 1):
+        params = init_params(dims, seed=seed)
+        x = rng.standard_normal((n, 4))
+        cot = rng.standard_normal((n, 1))
+        pred, cache = forward(params, x, ws)
+        grads, input_grads = backward(params, cache, cot)
+        ref_pred, ref_w, ref_b, ref_g = fresh_passes(params, x, cot)
+        assert pred is ws.activations[-1]
+        assert np.array_equal(pred, ref_pred)
+        assert np.array_equal(input_grads, ref_g)
+        for got, want in zip(grads.weights + grads.biases, tuple(ref_w) + tuple(ref_b)):
+            assert np.array_equal(got, want)
+        own_pred, own_cache = forward(params, x)
+        assert own_cache.workspace is not ws
+        assert np.array_equal(own_pred, ref_pred)
+
+
+def test_backward_rejects_cache_of_refilled_workspace():
+    params = init_params((2, 3, 1), seed=0)
+    ws = Workspace(params.layer_dims, 4)
+    _, stale = forward(params, np.zeros((4, 2)), ws)
+    _, fresh = forward(params, np.ones((4, 2)), ws)
+    with pytest.raises(ValueError, match="refilled"):
+        backward(params, stale, np.ones((4, 1)))
+    backward(params, fresh, np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("dims,n", [((2, 3, 1), 5), ((2, 4, 1), 4), ((2, 3, 2), 4)])
+def test_forward_rejects_workspace_of_wrong_shape(dims, n):
+    params = init_params((2, 3, 1), seed=0)
+    with pytest.raises(ValueError, match="workspace"):
+        forward(params, np.zeros((4, 2)), Workspace(dims, n))

@@ -11,7 +11,15 @@ import zo_meshopt.train as train_mod
 from zo_meshopt import net
 from zo_meshopt.cli import load_config
 from zo_meshopt.errors import ConfigError, SolverError
-from zo_meshopt.grid import Field, ScenarioParams, nearest_upsample, uniform_mesh
+from zo_meshopt.grid import (
+    Field,
+    ScenarioParams,
+    mesh_to_params,
+    nearest_upsample,
+    params_to_mesh,
+    uniform_mesh,
+)
+from zo_meshopt.optim import adam_step, init_adam
 from zo_meshopt.solver import solve_poisson
 from zo_meshopt.train import (
     INCOMPLETE_MARKER,
@@ -57,7 +65,7 @@ def test_loss_forward_matches_recomputation():
     netp = net.init_params((4, 8, 1), seed=3)
     truth = solve_poisson(fine, scenario).field
 
-    loss, cache, coarse_field, _ = loss_forward(coarse, netp, scenario, fine, truth)
+    loss, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
 
     ref_coarse = solve_poisson(coarse, scenario).field
     assert np.array_equal(coarse_field.values, ref_coarse.values)
@@ -75,7 +83,7 @@ def test_loss_backward_theta_directional_fd():
     scenario = ScenarioParams(alpha=1.2)
     netp = net.init_params((4, 8, 1), seed=1)
     truth = solve_poisson(fine, scenario).field
-    _, cache, coarse_field, _ = loss_forward(coarse, netp, scenario, fine, truth)
+    _, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
     grads, _ = loss_backward(cache)
 
     rng = np.random.default_rng(10)
@@ -101,7 +109,7 @@ def test_loss_backward_coarse_cotangent_fd():
     scenario = ScenarioParams(alpha=0.8)
     netp = net.init_params((4, 8, 1), seed=2)
     truth = solve_poisson(fine, scenario).field
-    _, cache, coarse_field, _ = loss_forward(coarse, netp, scenario, fine, truth)
+    _, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
     _, v_coarse = loss_backward(cache)
 
     rng = np.random.default_rng(11)
@@ -314,6 +322,58 @@ def test_joint_desk_training_starts_no_thread(tmp_path, monkeypatch):
     assert metrics[-1].mesh_delta > 0.0
 
 
+@pytest.mark.parametrize("mode,est", [
+    ("gauss_coord", EstimatorSpec(kind="gauss_coord", b=3, d=2, seed=4)),
+    ("exact", EstimatorSpec("coordinate")),
+])
+def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monkeypatch, mode, est):
+    config = tiny_config(mesh_mode=mode, estimator=est, epochs=1, warm_start_epochs=0,
+                         mesh_lr=1e-2, out_dir=str(tmp_path / mode))
+
+    # Reference: one scenario at a time, each through its own fresh workspace.
+    fine = uniform_mesh(config.fine_n)
+    coarse = initial_coarse_mesh(config)
+    netp = net.init_params(train_mod.NET_DIMS, config.seed)
+    order = np.random.default_rng(np.random.SeedSequence([config.seed, 1])).permutation(
+        len(config.train_alphas)
+    )
+    theta_grads, mesh_g = [], np.zeros(coarse.n_params)
+    for k, idx in enumerate(order):
+        scenario = ScenarioParams(config.train_alphas[idx])
+        truth = solve_poisson(fine, scenario).field
+        _, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
+        grads, v = loss_backward(cache)
+        theta_grads.append(net.flatten(grads))
+        spec = dataclasses.replace(est, seed=est.seed + k) if mode != "exact" else None
+        v_scaled = Field(v.values / order.size, v.mesh_shape)
+        g, _ = mesh_grad(mode, coarse, v_scaled, scenario, spec, base_output=coarse_field.values)
+        mesh_g += g
+    _, want_theta = adam_step(
+        init_adam(net.n_params(netp.layer_dims), config.lr),
+        net.flatten(netp),
+        np.mean(np.stack(theta_grads), axis=0),
+    )
+    _, want_p = adam_step(
+        init_adam(coarse.n_params, config.mesh_lr), mesh_to_params(coarse), mesh_g
+    )
+    want_mesh = params_to_mesh(coarse, want_p)
+
+    built = []
+
+    class CountingWorkspace(net.Workspace):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(net, "Workspace", CountingWorkspace)
+    _, state = train_run(config)
+    assert built == [(train_mod.NET_DIMS, fine.n_nodes)]
+    assert np.array_equal(net.flatten(state.net), want_theta)
+    assert np.array_equal(state.mesh.x_lines, want_mesh.x_lines)
+    assert np.array_equal(state.mesh.y_lines, want_mesh.y_lines)
+    assert not np.array_equal(want_p, mesh_to_params(coarse))
+
+
 def test_checkpoint_contents(tmp_path):
     config = tiny_config(out_dir=str(tmp_path / "ck"))
     _, state = train_run(config)
@@ -336,7 +396,7 @@ def test_test_rmse_matches_manual_recompute(tmp_path):
     for alpha in config.test_alphas:
         scenario = ScenarioParams(alpha)
         truth = solve_poisson(fine, scenario).field
-        _, cache, _, _ = loss_forward(state.mesh, state.net, scenario, fine, truth)
+        _, cache, _ = loss_forward(state.mesh, state.net, scenario, fine, truth)
         per.append(rmse(Field(cache.predictions[:, 0], fine.shape), truth))
     assert metrics[-1].test_rmse == pytest.approx(float(np.mean(per)), rel=0, abs=1e-15)
 
