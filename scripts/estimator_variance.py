@@ -38,7 +38,9 @@ def main(argv=None):
 
     grid = [("coordinate", b, dim) for b in (1, 4, 8)]
     grid += [("gaussian", b, dim) for b in (1, 4, 8)]
-    grid += [("gauss_coord", b, d) for b in (1, 4, 8) for d in (4, 8)]
+    # a subset cannot be larger than the mesh: cap d at dim, as training does
+    subsets = sorted({min(d, dim) for d in (4, 8)})
+    grid += [("gauss_coord", b, d) for b in (1, 4, 8) for d in subsets]
 
     print(f"exact |g| = {exact_norm:.4e}  (dim {dim})")
     print(f"{'kind':<12} {'b':>3} {'d':>3} {'mean cos':>9} {'bias':>9} {'seed sd':>9}")

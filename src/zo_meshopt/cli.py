@@ -31,7 +31,7 @@ from .train import (
     scale_sweep,
     train_run,
 )
-from .zo import EstimatorSpec, zo_vjp
+from .zo import ESTIMATOR_KINDS, EstimatorSpec, zo_vjp
 
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorSpec)}
@@ -60,9 +60,14 @@ def load_config(path: str) -> TrainConfig:
         bad = set(est) - _ESTIMATOR_KEYS
         if bad:
             raise ConfigError(f"unknown estimator keys: {sorted(bad)}")
-        est = dict(est)
-        est.setdefault("kind", "coordinate")
-        kwargs["estimator"] = EstimatorSpec(**est)
+        # mesh_mode names the method; the estimator object only tunes it.
+        mode = kwargs.get("mesh_mode")
+        if mode in ESTIMATOR_KINDS and est.get("kind", mode) != mode:
+            raise ConfigError(
+                f"estimator kind {est['kind']!r} contradicts mesh_mode {mode!r}; "
+                "drop the kind or make it match"
+            )
+        kwargs["estimator"] = EstimatorSpec(**{"kind": "coordinate", **est})
     for key in ("train_alphas", "test_alphas"):
         if key in kwargs:
             kwargs[key] = tuple(float(a) for a in kwargs[key])
@@ -214,7 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cfg = replace(
                 config,
                 mesh_mode="gauss_coord",
-                estimator=replace(config.estimator, kind="gauss_coord", b=b, d=d),
+                estimator=replace(config.estimator, b=b, d=d),
                 out_dir=str(out / f"bd_b{b}_d{d}"),
             )
             metrics, _ = train_run(cfg)

@@ -34,12 +34,11 @@ from .grid import (
 )
 from .optim import AdamState, NonFiniteGradient, adam_step, init_adam
 from .solver import exact_mesh_vjp, make_evaluate, solve_poisson
-from .zo import EstimatorSpec, zo_vjp
+from .zo import ESTIMATOR_KINDS, EstimatorSpec, zo_vjp
 
 log = logging.getLogger(__name__)
 
-MESH_MODES = ("frozen", "exact", "coordinate", "gaussian", "gauss_coord")
-ZO_MODES = ("coordinate", "gaussian", "gauss_coord")
+MESH_MODES = ("frozen", "exact", *ESTIMATOR_KINDS)
 NET_DIMS = net.DEFAULT_DIMS
 METRICS_HEADER = "epoch,train_loss,test_rmse,n_solver_evals,mesh_delta,wall_time_s"
 INCOMPLETE_MARKER = "# incomplete"
@@ -47,6 +46,12 @@ INCOMPLETE_MARKER = "# incomplete"
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run.  mesh_mode names the mesh-gradient method; for an
+    estimator mode the estimator spec only tunes it.  Construction sets the
+    spec's kind to mesh_mode and caps gauss_coord's subset size d at
+    mesh_dim, so the stored spec is the one that runs, apart from the seed
+    offset each estimator call adds."""
+
     fine_n: int = 33
     coarse_n: int = 9
     train_alphas: tuple[float, ...] = (0.90, 0.91, 0.92, 0.93, 0.94, 0.95)
@@ -60,6 +65,21 @@ class TrainConfig:
     mesh_lr: float | None = None
     seed: int = 0
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.mesh_mode in ESTIMATOR_KINDS:
+            est = self.estimator
+            d = min(est.d, self.mesh_dim) if self.mesh_mode == "gauss_coord" else est.d
+            object.__setattr__(
+                self,
+                "estimator",
+                EstimatorSpec(kind=self.mesh_mode, mu=est.mu, b=est.b, d=d, seed=est.seed),
+            )
+
+    @property
+    def mesh_dim(self) -> int:
+        """Trainable mesh parameters: the interior lines of both axes."""
+        return 2 * (self.coarse_n - 2)
 
     @property
     def batch_size(self) -> int:
@@ -101,13 +121,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.mesh_lr is not None and self.mesh_lr <= 0:
             raise ConfigError(f"mesh_lr must be positive, got {self.mesh_lr}")
-        if self.mesh_mode in ZO_MODES:
-            if self.estimator.mu <= 0:
-                raise ConfigError(f"estimator mu must be positive, got {self.estimator.mu}")
-            if self.estimator.b < 1:
-                raise ConfigError(f"estimator b must be >= 1, got {self.estimator.b}")
-            if self.mesh_mode == "gauss_coord" and self.estimator.d < 1:
-                raise ConfigError(f"estimator d must be >= 1, got {self.estimator.d}")
+        if self.mesh_mode in ESTIMATOR_KINDS:
+            self.estimator.validate(self.mesh_dim)
 
 
 @dataclass(frozen=True)
@@ -154,8 +169,6 @@ class LossCache:
     net_params: net.MlpParams
     net_cache: net.ForwardCache
     predictions: np.ndarray
-    coarse_field: Field
-    upsampled: Field
     fine_field: Field
 
 
@@ -194,9 +207,7 @@ def loss_from_coarse_field(
     preds, cache = net.forward(net_params, feats, workspace)
     resid = preds[:, 0] - fine_field.values
     loss = float(resid @ resid / resid.size)
-    return loss, LossCache(
-        coarse_mesh, fine_mesh, net_params, cache, preds, coarse_field, u_up, fine_field
-    )
+    return loss, LossCache(coarse_mesh, fine_mesh, net_params, cache, preds, fine_field)
 
 
 def loss_forward(
@@ -226,8 +237,7 @@ def loss_backward(cache: LossCache) -> tuple[net.MlpGrads, Field]:
     column).
     """
     n = cache.predictions.shape[0]
-    cot = np.zeros_like(cache.predictions)
-    cot[:, 0] = 2.0 * (cache.predictions[:, 0] - cache.fine_field.values) / n
+    cot = 2.0 * (cache.predictions - cache.fine_field.values[:, None]) / n
     grads, input_grads = net.backward(cache.net_params, cache.net_cache, cot)
     fine_cot = Field(input_grads[:, 2], cache.fine_mesh.shape)
     v_coarse = upsample_adjoint(cache.coarse_mesh, cache.fine_mesh, fine_cot)
@@ -248,24 +258,24 @@ def mesh_grad(
 
     frozen costs nothing, exact costs 2 * D central-difference solves, the
     estimator modes cost exactly b solves and require the caller's base
-    output.  For gauss_coord the subset size is clipped to D.
+    output and a spec whose kind is mode (TrainConfig derives it, with
+    gauss_coord's d capped at D).
     """
     dim = mesh.n_params
     if mode == "frozen":
         return np.zeros(dim), 0
     if mode == "exact":
         return exact_mesh_vjp(mesh, scenario, v_coarse, solve=solve), 2 * dim
-    if mode not in ZO_MODES:
+    if mode not in ESTIMATOR_KINDS:
         raise ConfigError(f"unknown mesh mode {mode!r}, expected one of {MESH_MODES}")
     if spec is None:
         raise ConfigError(f"mesh mode {mode!r} needs an estimator spec")
+    if spec.kind != mode:
+        raise ConfigError(f"estimator kind {spec.kind!r} does not match mesh mode {mode!r}")
     if base_output is None:
         raise ValueError("estimator modes need the base coarse solve's values")
-    effective = replace(spec, kind=mode)
-    if mode == "gauss_coord":
-        effective = replace(effective, d=min(effective.d, dim))
     evaluate = make_evaluate(mesh, scenario, solve=solve)
-    return zo_vjp(evaluate, mesh_to_params(mesh), base_output, v_coarse.values, effective)
+    return zo_vjp(evaluate, mesh_to_params(mesh), base_output, v_coarse.values, spec)
 
 
 def rmse(pred: Field, truth: Field) -> float:
@@ -304,8 +314,8 @@ def declared_evals(config: TrainConfig, epochs_done: int | None = None) -> int:
     total += done * (n_train + n_test)
     joint = max(0, min(done, config.epochs) - config.warm_start_epochs)
     if config.mesh_mode == "exact":
-        per_scenario = 4 * (config.coarse_n - 2)  # 2 solves per mesh parameter
-    elif config.mesh_mode in ZO_MODES:
+        per_scenario = 2 * config.mesh_dim  # 2 solves per mesh parameter
+    elif config.mesh_mode in ESTIMATOR_KINDS:
         per_scenario = config.estimator.b
     else:
         per_scenario = 0
@@ -422,7 +432,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     if joint:
                         v_scaled = Field(v_coarse.values / n_batch, v_coarse.mesh_shape)
                         spec = None
-                        if config.mesh_mode in ZO_MODES:
+                        if config.mesh_mode in ESTIMATOR_KINDS:
                             spec = replace(
                                 config.estimator, seed=config.estimator.seed + est_calls
                             )

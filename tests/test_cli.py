@@ -114,6 +114,34 @@ def test_unknown_estimator_key_is_usage_error(tmp_path):
     assert cli.main(["train", "--config", str(p)]) == 2
 
 
+def test_non_finite_mu_exits_two_before_training(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", mesh_mode="gaussian", warm_start_epochs=1)
+    assert cli.main(["train", "--config", str(cfg), "--mu", "nan"]) == 2
+    assert "mu" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_estimator_kind_contradicting_mesh_mode_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", mesh_mode="gaussian",
+                       estimator={"kind": "gauss_coord", "d": 1})
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert "contradicts" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode,kind,loaded", [
+    ("gaussian", "gaussian", "gaussian"),
+    ("gaussian", None, "gaussian"),
+    ("exact", "coordinate", "coordinate"),
+    ("frozen", "gauss_coord", "gauss_coord"),
+])
+def test_matching_or_unused_estimator_kind_loads(tmp_path, mode, kind, loaded):
+    est = {"b": 2} if kind is None else {"kind": kind, "b": 2}
+    config = cli.load_config(str(write_config(tmp_path / "c.json", mesh_mode=mode, estimator=est)))
+    config.validate()
+    assert (config.mesh_mode, config.estimator.kind) == (mode, loaded)
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["frobnicate"]) == 2
 

@@ -36,7 +36,7 @@ from zo_meshopt.train import (
     scale_sweep,
     train_run,
 )
-from zo_meshopt.zo import EstimatorSpec
+from zo_meshopt.zo import ESTIMATOR_KINDS, EstimatorSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,17 +156,49 @@ def test_mesh_grad_contracts():
         mesh_grad("gaussian", coarse, v, scenario, spec, base_output=None)
     with pytest.raises(ConfigError):
         mesh_grad("warp", coarse, v, scenario)
+    with pytest.raises(ConfigError, match="does not match"):
+        mesh_grad("coordinate", coarse, v, scenario, spec, base_output=base)
 
 
-def test_gauss_coord_subset_clipped_to_dimension():
-    coarse = uniform_mesh(5)
-    scenario = ScenarioParams(alpha=1.0)
-    v = Field(np.ones(coarse.n_nodes), coarse.shape)
-    base = solve_poisson(coarse, scenario).field.values
-    spec = EstimatorSpec(kind="gauss_coord", b=2, d=500, seed=1)
-    g, n = mesh_grad("gauss_coord", coarse, v, scenario, spec, base_output=base)
-    assert n == 2
-    assert g.shape == (coarse.n_params,)
+def test_gauss_coord_subset_clipped_to_dimension(tmp_path):
+    """The config caps d at the mesh dimension, and the capped spec is the
+    one that trains and is recorded."""
+    config = tiny_config(mesh_mode="gauss_coord",
+                         estimator=EstimatorSpec(kind="gauss_coord", b=2, d=500, seed=1),
+                         epochs=1, warm_start_epochs=0, out_dir=str(tmp_path / "gc"))
+    assert config.mesh_dim == uniform_mesh(config.coarse_n).n_params == 6
+    assert config.estimator.d == 6
+    config.validate()
+    metrics, _ = train_run(config)
+    assert metrics[-1].n_solver_evals == declared_evals(config)
+    assert metrics[-1].mesh_delta > 0.0
+    recorded = json.loads((tmp_path / "gc" / "checkpoint.json").read_text())
+    assert recorded["config"]["estimator"]["d"] == 6
+
+
+def test_mesh_mode_names_the_estimator_kind():
+    config = TrainConfig(mesh_mode="gaussian", estimator=EstimatorSpec("coordinate", b=3, d=500))
+    assert config.estimator == EstimatorSpec("gaussian", b=3, d=500)
+    switched = dataclasses.replace(config, mesh_mode="gauss_coord")
+    assert switched.estimator == EstimatorSpec("gauss_coord", b=3, d=config.mesh_dim)
+    # frozen and exact leave the (unused) spec as given
+    assert dataclasses.replace(config, mesh_mode="exact").estimator.kind == "gaussian"
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("configs/desk.json", "gauss_coord"),
+    ("bench/workloads/exact-17x65.json", "exact"),
+    ("bench/workloads/gauss-17x129.json", "gauss_coord"),
+])
+def test_shipped_configs_load_and_validate(name, mode):
+    path = ROOT / name
+    before = path.read_bytes()
+    config = load_config(str(path))
+    config.validate()
+    assert path.read_bytes() == before
+    assert config.mesh_mode == mode
+    if mode in ESTIMATOR_KINDS:
+        assert config.estimator.kind == mode
 
 
 def test_initial_coarse_mesh_divisible_and_fallback():
@@ -192,6 +224,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(mesh_mode="gauss_coord",
                     estimator=EstimatorSpec(kind="gauss_coord", b=0)).validate()
+    for mu in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="mu"):
+            tiny_config(mesh_mode="gaussian", estimator=EstimatorSpec("gaussian", mu=mu)).validate()
 
 
 @pytest.mark.parametrize("mode,est,expect_extra", [
