@@ -215,13 +215,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     else:
         rows = ["b,d,epoch,train_loss,test_rmse,n_solver_evals"]
-        for b, d in _BD_GRID:
+        done = set()
+        for b, d_asked in _BD_GRID:
             cfg = replace(
                 config,
                 mesh_mode="gauss_coord",
-                estimator=replace(config.estimator, b=b, d=d),
-                out_dir=str(out / f"bd_b{b}_d{d}"),
+                estimator=replace(config.estimator, b=b, d=d_asked),
             )
+            # TrainConfig caps d at the mesh dimension: train each cell that
+            # runs once, under the d it runs with.
+            d = cfg.estimator.d
+            if (b, d) in done:
+                continue
+            done.add((b, d))
+            cfg = replace(cfg, out_dir=str(out / f"bd_b{b}_d{d}"))
             metrics, _ = train_run(cfg)
             for m in metrics:
                 rows.append(

@@ -10,6 +10,7 @@ flat index j * nx + i, so each stored row follows one y-line.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -81,10 +82,15 @@ class TensorMesh:
     def n_params(self) -> int:
         return (self.x_lines.size - 2) + (self.y_lines.size - 2)
 
+    @functools.cached_property
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node coordinate arrays (x, y), row-major over (j, i)."""
+        """Per-node coordinate arrays (x, y), row-major over (j, i); built
+        once per mesh and read-only."""
         nx, ny = self.shape
-        return np.tile(self.x_lines, ny), np.repeat(self.y_lines, nx)
+        x, y = np.tile(self.x_lines, ny), np.repeat(self.y_lines, nx)
+        x.setflags(write=False)
+        y.setflags(write=False)
+        return x, y
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ symmetric tridiagonal (diagonal 1/hL + 1/hR, off-diagonals -1/h) and
 M = diag((hL + hR) / 2).  The eigenvectors of the symmetric M^-1/2 S M^-1/2
 are orthonormal and stable to compute, and scaling them by M^-1/2 gives
 T's eigenvectors with an inverse in closed form.  Every solve verifies its
-own residual, with the stencil applied directly, before returning.
+own residual before returning, as two products with the axes' dense
+tridiagonal operators, T_y w + w T_x^T; a non-finite solution fails that
+check too, so it needs no scan of its own.
 
 An axis factorization depends only on that axis's lines, and most of them
 repeat from call to call: one coarse mesh is solved for every scenario
@@ -28,6 +30,11 @@ and every cached array is read-only.  The cache saves eigendecompositions,
 not solves: each call still builds its source, solves, checks its residual
 and returns its own report, so a caller that counts solver calls counts
 exactly what it did before.
+
+The oracle's perturbed meshes depend only on the base mesh and the step h,
+not on the scenario, so ``exact_mesh_vjp`` projects them once per base mesh
+(a one-entry memo keyed like the axis cache) and every scenario alpha of an
+epoch solves on the same 2 * D meshes.
 """
 
 from __future__ import annotations
@@ -65,16 +72,14 @@ class SolveReport:
 class _Axis(NamedTuple):
     """One axis's operator T = -d2/dx2 on its interior nodes.
 
-    T has ``diag`` on the diagonal and -``lower`` / -``upper`` on the sub- and
-    super-diagonal; T = V diag(lam) V^-1.
+    T = V diag(lam) V^-1, and ``t`` is T itself as a dense tridiagonal
+    matrix, for the residual check.
     """
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
     lam: np.ndarray
     v: np.ndarray
     v_inv: np.ndarray
+    t: np.ndarray
 
 
 def _axis(lines: np.ndarray) -> _Axis:
@@ -99,7 +104,11 @@ def _axis_of(key: bytes) -> _Axis:
     sym.flat[:: n + 1] = diag
     sym.flat[n :: n + 1] = -inv_gap[1:-1] / (root_m[:-1] * root_m[1:])
     lam, q = np.linalg.eigh(sym)
-    axis = _Axis(lower, diag, upper, lam, q / root_m[:, None], q.T * root_m)
+    t = np.zeros((n, n))
+    t.flat[:: n + 1] = diag
+    t.flat[n :: n + 1] = -lower[1:]
+    t.flat[1 :: n + 1] = -upper[:-1]
+    axis = _Axis(lam, q / root_m[:, None], q.T * root_m, t)
     for array in axis:
         array.flags.writeable = False
     return axis
@@ -107,12 +116,7 @@ def _axis_of(key: bytes) -> _Axis:
 
 def _apply_operator(ax: _Axis, ay: _Axis, w: np.ndarray) -> np.ndarray:
     """The 5-point negative Laplacian on an (ny - 2, nx - 2) interior grid."""
-    out = (ay.diag[:, None] + ax.diag) * w
-    out[:, 1:] -= ax.lower[1:] * w[:, :-1]
-    out[:, :-1] -= ax.upper[:-1] * w[:, 1:]
-    out[1:] -= ay.lower[1:, None] * w[:-1]
-    out[:-1] -= ay.upper[:-1, None] * w[1:]
-    return out
+    return w @ ax.t.T + ay.t @ w
 
 
 def _solve_interior(ax: _Axis, ay: _Axis, rhs: np.ndarray) -> np.ndarray:
@@ -135,12 +139,12 @@ def _solve(
         raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
     ax, ay = _axis(mesh.x_lines), _axis(mesh.y_lines)
     rhs = np.asarray(rhs_fn(mesh.x_lines[1:-1], mesh.y_lines[1:-1, None]), dtype=float)
-    w = _solve_interior(ax, ay, rhs)
-    if not np.all(np.isfinite(w)):
-        raise SolverError(f"linear solve on a {nx}x{ny} mesh produced non-finite values")
-    u = w / params.alpha
+    u = _solve_interior(ax, ay, rhs) / params.alpha
+    # A NaN or inf anywhere in u makes the residual NaN or inf.
     residual = float(np.max(np.abs(_apply_operator(ax, ay, params.alpha * u) - rhs)))
-    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
+    if not np.isfinite(residual):
+        raise SolverError(f"linear solve on a {nx}x{ny} mesh produced non-finite values")
+    if residual > RESIDUAL_TOL:
         raise SolverError(
             f"solve residual {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}",
             residual=residual,
@@ -186,6 +190,27 @@ def make_evaluate(
     return evaluate
 
 
+def _perturbed_meshes(mesh: TensorMesh, h: float) -> tuple[TensorMesh, ...]:
+    """The oracle's 2 * D meshes p0 + h e_k, p0 - h e_k, k = 0 .. D - 1, in
+    that order, shared by every scenario solved on this mesh."""
+    return _perturbed_meshes_of(mesh.x_lines.tobytes(), mesh.y_lines.tobytes(), mesh.s_min, h)
+
+
+@functools.lru_cache(maxsize=1)
+def _perturbed_meshes_of(
+    x_key: bytes, y_key: bytes, s_min: float, h: float
+) -> tuple[TensorMesh, ...]:
+    mesh = TensorMesh(np.frombuffer(x_key), np.frombuffer(y_key), s_min)
+    p0 = mesh_to_params(mesh)
+    meshes = []
+    for k in range(p0.size):
+        step = np.zeros(p0.size)
+        step[k] = h
+        meshes.append(params_to_mesh(mesh, p0 + step))
+        meshes.append(params_to_mesh(mesh, p0 - step))
+    return tuple(meshes)
+
+
 def exact_mesh_vjp(
     mesh: TensorMesh,
     params: ScenarioParams,
@@ -198,27 +223,19 @@ def exact_mesh_vjp(
 
     Component k is <v, (O(p + h e_k) - O(p - h e_k))> / (2 h) where O maps
     mesh parameters to solved field values.  Costs 2 * D solves, each one
-    counted solver call, so ``n_solver_evals`` grows by 2 * D per call.  Each
-    perturbed mesh moves one line: it factorizes that one new axis and reuses
-    the base mesh's other axis, and the same 2 * D + 2 axes serve every
-    scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart from the
-    estimator code, which must only ever see make_evaluate.
+    counted solver call, so ``n_solver_evals`` grows by 2 * D per call.  The
+    perturbed meshes are projected once per base mesh and step and reused
+    for every scenario.  Each moves one line: it factorizes that one new
+    axis and reuses the base mesh's other axis, and the same 2 * D + 2 axes
+    serve every scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart
+    from the estimator code, which must only ever see make_evaluate.
     """
     if v.mesh_shape != mesh.shape:
         raise ValueError(f"cotangent shape {v.mesh_shape} does not match mesh {mesh.shape}")
     if h <= 0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    p0 = mesh_to_params(mesh)
-    perturbed = []
-    for k in range(p0.size):
-        step = np.zeros(p0.size)
-        step[k] = h
-        perturbed.append(p0 + step)
-        perturbed.append(p0 - step)
-    fields = run_ordered(
-        lambda p: solve(params_to_mesh(mesh, p), params).field.values, perturbed
-    )
-    grad = np.empty(p0.size)
-    for k in range(p0.size):
+    fields = run_ordered(lambda m: solve(m, params).field.values, _perturbed_meshes(mesh, h))
+    grad = np.empty(mesh.n_params)
+    for k in range(grad.size):
         grad[k] = float(v.values @ (fields[2 * k] - fields[2 * k + 1])) / (2.0 * h)
     return grad

@@ -179,7 +179,7 @@ def node_features(
     (a fresh (n, 4) array when None)."""
     if out is None:
         out = np.empty((fine_mesh.n_nodes, 4))
-    out[:, 0], out[:, 1] = fine_mesh.node_coords()
+    out[:, 0], out[:, 1] = fine_mesh.node_coords
     out[:, 2] = upsampled
     out[:, 3] = float(alpha)
     return out

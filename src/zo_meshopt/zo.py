@@ -89,15 +89,15 @@ def draw_directions(spec: EstimatorSpec, dim: int) -> list[PerturbationDraw]:
             e[xi] = 1.0
             draws.append(PerturbationDraw(e, coordinate=int(xi)))
     elif spec.kind == "gaussian":
-        for _ in range(spec.b):
-            draws.append(PerturbationDraw(rng_dir.standard_normal(dim)))
+        # One (b, dim) draw fills row after row, the same values as b
+        # successive standard_normal(dim) draws.
+        draws.extend(PerturbationDraw(g) for g in rng_dir.standard_normal((spec.b, dim)))
     else:
         subset = np.sort(_substream(spec.seed, 1).permutation(dim)[: spec.d])
         mask = np.zeros(dim, dtype=bool)
         mask[subset] = True
-        for _ in range(spec.b):
-            g = rng_dir.standard_normal(dim)
-            draws.append(PerturbationDraw(np.where(mask, g, 0.0), subset=subset))
+        directions = np.where(mask, rng_dir.standard_normal((spec.b, dim)), 0.0)
+        draws.extend(PerturbationDraw(g, subset=subset) for g in directions)
     return draws
 
 

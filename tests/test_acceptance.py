@@ -129,7 +129,7 @@ def test_solver_convergence_scaling_residual():
     for n in (17, 33):
         mesh = uniform_mesh(n)
         report = solve_manufactured(mesh, params)
-        xs, ys = mesh.node_coords()
+        xs, ys = mesh.node_coords
         exact = np.sin(np.pi * xs) * np.sin(np.pi * ys) / params.alpha
         errs.append(float(np.max(np.abs(report.field.values - exact))))
     ratio = errs[0] / errs[1]

@@ -212,16 +212,23 @@ def test_sweep_scales_writes_csv(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 2
 
 
-def test_sweep_bd_grid_covers_all_cells(tmp_path):
+def test_sweep_bd_trains_each_distinct_cell_once(tmp_path):
+    """Coarse 5 has 6 mesh parameters, so d = 8 and d = 16 both run d = 6:
+    each b trains d = 4 and d = 6 once, labelled with the d that ran."""
     cfg = write_config(tmp_path / "c.json", mesh_mode="gauss_coord",
                        estimator={"kind": "gauss_coord", "b": 1, "d": 2},
                        epochs=1, warm_start_epochs=0, out_dir=str(tmp_path / "bd"))
     assert cli.main(["sweep", "bd", "--config", str(cfg)]) == 0
     lines = (tmp_path / "bd" / "bd_sweep.csv").read_text().splitlines()
     assert lines[0] == "b,d,epoch,train_loss,test_rmse,n_solver_evals"
-    assert len(lines) == 1 + 12
-    cells = {tuple(l.split(",")[:2]) for l in lines[1:]}
-    assert len(cells) == 12
+    cells = [tuple(int(v) for v in l.split(",")[:2]) for l in lines[1:]]
+    want = [(b, d) for b in (1, 2, 4, 8) for d in (4, 6)]
+    assert cells == want
+    runs = sorted(p.name for p in (tmp_path / "bd").iterdir() if p.is_dir())
+    assert runs == sorted(f"bd_b{b}_d{d}" for b, d in want)
+    for b, d in want:
+        ckpt = json.loads((tmp_path / "bd" / f"bd_b{b}_d{d}" / "checkpoint.json").read_text())
+        assert (ckpt["config"]["estimator"]["b"], ckpt["config"]["estimator"]["d"]) == (b, d)
 
 
 def test_entry_point_installed():

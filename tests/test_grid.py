@@ -63,9 +63,11 @@ def test_mesh_arrays_read_only():
 
 def test_node_coords_row_major():
     m = TensorMesh(np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.5, 1.0]))
-    xs, ys = m.node_coords()
+    xs, ys = m.node_coords
     assert np.array_equal(xs, np.array([0.0, 0.25, 1.0] * 3))
     assert np.array_equal(ys, np.repeat([0.0, 0.5, 1.0], 3))
+    assert m.node_coords is m.node_coords
+    assert not xs.flags.writeable and not ys.flags.writeable
 
 
 def test_params_roundtrip():

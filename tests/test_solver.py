@@ -126,7 +126,7 @@ def test_manufactured_convergence_ratio():
     for n in (17, 33):
         mesh = uniform_mesh(n)
         report = solve_manufactured(mesh, params)
-        xs, ys = mesh.node_coords()
+        xs, ys = mesh.node_coords
         exact = np.sin(np.pi * xs) * np.sin(np.pi * ys) / params.alpha
         errs.append(np.max(np.abs(report.field.values - exact)))
     ratio = errs[0] / errs[1]
@@ -146,7 +146,7 @@ def test_non_uniform_mesh_still_second_order_sane():
     lines = np.concatenate([[0.0], interior, [1.0]])
     mesh = TensorMesh(lines, np.linspace(0.0, 1.0, 17))
     report = solve_manufactured(mesh, ScenarioParams(alpha=1.0))
-    xs, ys = mesh.node_coords()
+    xs, ys = mesh.node_coords
     exact = np.sin(np.pi * xs) * np.sin(np.pi * ys)
     assert np.max(np.abs(report.field.values - exact)) < 0.05
 
@@ -164,9 +164,22 @@ def test_residual_guard_raises(monkeypatch):
     with pytest.raises(SolverError) as info:
         solve_poisson(mesh, ScenarioParams(alpha=1.0))
     assert info.value.residual > RESIDUAL_TOL
-    monkeypatch.setattr(solver_mod, "_solve_interior", lambda ax, ay, rhs: np.full_like(rhs, np.nan))
-    with pytest.raises(SolverError):
-        solve_poisson(mesh, ScenarioParams(alpha=1.0))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_interior_solve_raises(monkeypatch, bad):
+    """One non-finite entry makes the residual non-finite, which fails the solve."""
+    good = solver_mod._solve_interior
+
+    def corrupted(ax, ay, rhs):
+        w = good(ax, ay, rhs)
+        w[1, 2] = bad
+        return w
+
+    monkeypatch.setattr(solver_mod, "_solve_interior", corrupted)
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_poisson(uniform_mesh(5), ScenarioParams(alpha=1.0))
 
 
 def test_make_evaluate_round_trip():
@@ -245,3 +258,60 @@ def test_axis_cache_stays_bounded():
     info = solver_mod._axis_of.cache_info()
     assert info.misses == 2 * solver_mod._AXIS_CACHE_SIZE
     assert info.currsize <= solver_mod._AXIS_CACHE_SIZE
+
+
+_ALPHAS = (0.90, 0.91, 0.92, 0.93, 0.94, 0.95)
+
+
+def _reference_exact_vjp(mesh, params, v, h=1e-6):
+    """exact_mesh_vjp as written before its meshes were shared: every call
+    projects its own 2 * D perturbed meshes."""
+    from zo_meshopt.grid import mesh_to_params, params_to_mesh
+
+    p0 = mesh_to_params(mesh)
+    grad = np.empty(p0.size)
+    for k in range(p0.size):
+        step = np.zeros(p0.size)
+        step[k] = h
+        plus = solve_poisson(params_to_mesh(mesh, p0 + step), params).field.values
+        minus = solve_poisson(params_to_mesh(mesh, p0 - step), params).field.values
+        grad[k] = float(v.values @ (plus - minus)) / (2.0 * h)
+    return grad
+
+
+def test_exact_oracle_projects_perturbed_meshes_once_across_alphas(monkeypatch):
+    rng = np.random.default_rng(6)
+    mesh = TensorMesh(_random_lines(rng, 9), _random_lines(rng, 7))
+    v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+    projected = []
+    project = solver_mod.params_to_mesh
+    monkeypatch.setattr(solver_mod, "params_to_mesh",
+                        lambda template, p: projected.append(p) or project(template, p))
+    solver_mod._perturbed_meshes_of.cache_clear()
+    for alpha in _ALPHAS:
+        exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
+    assert len(projected) == 2 * mesh.n_params
+
+
+def test_shared_perturbed_meshes_give_the_per_call_gradient():
+    rng = np.random.default_rng(9)
+    meshes = [uniform_mesh(5), TensorMesh(_random_lines(rng, 9), _random_lines(rng, 7)),
+              TensorMesh(np.array([0.0, 1.01e-4, 2.02e-4, 0.5, 1.0]), _random_lines(rng, 6))]
+    solver_mod._perturbed_meshes_of.cache_clear()
+    for mesh in meshes:
+        v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+        for alpha in _ALPHAS:
+            got = exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
+            assert np.array_equal(got, _reference_exact_vjp(mesh, ScenarioParams(alpha), v))
+
+
+def test_perturbed_mesh_memo_holds_one_mesh():
+    rng = np.random.default_rng(10)
+    solver_mod._perturbed_meshes_of.cache_clear()
+    for _ in range(3):
+        mesh = TensorMesh(_random_lines(rng, 6), _random_lines(rng, 5))
+        v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+        for h in (1e-6, 1e-5):
+            exact_mesh_vjp(mesh, ScenarioParams(1.0), v, h)
+            assert solver_mod._perturbed_meshes_of.cache_info().currsize == 1
+    assert solver_mod._perturbed_meshes_of.cache_info().misses == 6

@@ -70,7 +70,7 @@ def test_loss_forward_matches_recomputation():
     ref_coarse = solve_poisson(coarse, scenario).field
     assert np.array_equal(coarse_field.values, ref_coarse.values)
     u_up = nearest_upsample(coarse, ref_coarse, fine)
-    xs, ys = fine.node_coords()
+    xs, ys = fine.node_coords
     feats = np.column_stack([xs, ys, u_up.values, np.full(xs.size, 0.9)])
     preds, _ = net.forward(netp, feats)
     resid = preds[:, 0] - truth.values
