@@ -48,8 +48,8 @@ def main(argv=None):
         spec = EstimatorSpec(kind=kind, mu=args.mu, b=b, d=d, seed=0)
         estimates = np.empty((args.trials, dim))
         for i in range(args.trials):
-            g, _ = mesh_grad(kind, mesh, v_field, scenario,
-                             spec=replace(spec, seed=i), base_output=base.values)
+            g = mesh_grad(kind, mesh, v_field, scenario,
+                          spec=replace(spec, seed=i), base_output=base.values)
             estimates[i] = g
         cos = np.array([
             e @ exact / (np.linalg.norm(e) * exact_norm + 1e-300) for e in estimates

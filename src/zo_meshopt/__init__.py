@@ -35,7 +35,7 @@ from .train import (
     scale_sweep,
     train_run,
 )
-from .zo import EstimatorSpec, PerturbationDraw, estimator_stats, zo_grad_scalar, zo_vjp
+from .zo import EstimatorSpec, estimator_stats, zo_grad_scalar, zo_vjp
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "EstimatorSpec",
     "Field",
     "MlpParams",
-    "PerturbationDraw",
     "ScenarioParams",
     "SolveReport",
     "SolverError",

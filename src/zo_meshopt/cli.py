@@ -1,4 +1,4 @@
-"""Command-line front end: train, gradcheck, sweep.
+"""Command-line front end: train, sweep.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 solver failure.
 """
@@ -11,27 +11,10 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import net
 from .errors import ConfigError, SolverError
-from .grid import (
-    Field,
-    ScenarioParams,
-    uniform_mesh,
-    nearest_upsample,
-    upsample_adjoint,
-    write_field_csv,
-    write_text_atomic,
-)
-from .solver import exact_mesh_vjp, make_evaluate
-from .train import (
-    MESH_MODES,
-    TrainConfig,
-    scale_sweep,
-    train_run,
-)
-from .zo import ESTIMATOR_KINDS, EstimatorSpec, zo_vjp
+from .grid import write_field_csv, write_text_atomic
+from .train import MESH_MODES, TrainConfig, scale_sweep, train_run
+from .zo import ESTIMATOR_KINDS, EstimatorSpec
 
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorSpec)}
@@ -120,88 +103,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_net_gradcheck(fd_step: float) -> tuple[str, float, float]:
-    params = net.init_params((4, 8, 1), seed=0)
-    rng = np.random.default_rng(7)
-    feats = rng.standard_normal((16, 4))
-    cot = rng.standard_normal((16, 1))
-    _, cache = net.forward(params, feats)
-    grads, _ = net.backward(params, cache, cot)
-    analytic = net.flatten(grads)
-    theta = net.flatten(params)
-    fd = np.empty_like(theta)
-    for k in range(theta.size):
-        step = np.zeros_like(theta)
-        step[k] = fd_step
-        plus, _ = net.forward(net.unflatten(params.layer_dims, theta + step), feats)
-        minus, _ = net.forward(net.unflatten(params.layer_dims, theta - step), feats)
-        fd[k] = float(np.sum(cot * (plus - minus))) / (2.0 * fd_step)
-    scale = np.maximum(np.abs(analytic), np.abs(fd))
-    rel = np.abs(analytic - fd) / np.maximum(scale, 1e-12)
-    return "net-gradcheck", float(rel.max()), 1e-4
-
-
-def _check_adjoint() -> tuple[str, float, float]:
-    coarse = uniform_mesh(5)
-    fine = uniform_mesh(17)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(100):
-        f = Field(rng.standard_normal(coarse.n_nodes), coarse.shape)
-        g = Field(rng.standard_normal(fine.n_nodes), fine.shape)
-        lhs = float(nearest_upsample(coarse, f, fine).values @ g.values)
-        rhs = float(f.values @ upsample_adjoint(coarse, fine, g).values)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    return "upsample-adjoint", worst, 1e-12
-
-
-def _check_estimator_vs_matrix() -> tuple[str, float, float]:
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 6))
-    v = rng.standard_normal(5)
-    m0 = rng.standard_normal(6)
-    base = a @ m0
-    spec = EstimatorSpec("coordinate", mu=1e-3, b=6, seed=5)
-    est, _ = zo_vjp(lambda p: a @ p, m0, base, v, spec)
-    expected = (a.T @ v) / 6.0
-    rel = float(np.max(np.abs(est - expected)) / np.max(np.abs(expected)))
-    return "coordinate-vs-matrix", rel, 1e-9
-
-
-def _check_estimator_vs_solver() -> tuple[str, float, float]:
-    mesh = uniform_mesh(5)
-    scenario = ScenarioParams(1.0)
-    rng = np.random.default_rng(13)
-    v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
-    exact = exact_mesh_vjp(mesh, scenario, v)
-    evaluate = make_evaluate(mesh, scenario)
-    from .grid import mesh_to_params
-    from .solver import solve_poisson
-
-    p0 = mesh_to_params(mesh)
-    base = solve_poisson(mesh, scenario).field.values
-    spec = EstimatorSpec("coordinate", mu=1e-3, b=p0.size, seed=17)
-    est, _ = zo_vjp(evaluate, p0, base, v.values, spec)
-    cos = float(est @ exact / (np.linalg.norm(est) * np.linalg.norm(exact)))
-    # Report 1 - cosine similarity between the scaled estimate and the oracle.
-    return "coordinate-vs-solver-vjp", 1.0 - cos, 1e-2
-
-
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    checks = [
-        _check_net_gradcheck(args.fd_step),
-        _check_adjoint(),
-        _check_estimator_vs_matrix(),
-        _check_estimator_vs_solver(),
-    ]
-    all_ok = True
-    for name, value, tol in checks:
-        ok = value <= tol
-        all_ok &= ok
-        print(f"{name:28s} {value:12.3e} (tol {tol:.1e})  {'PASS' if ok else 'FAIL'}")
-    return 0 if all_ok else 1
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     config.validate()
@@ -259,10 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--seed", type=int)
     train_p.add_argument("--out", help="output directory")
     train_p.set_defaults(func=cmd_train)
-
-    grad_p = sub.add_parser("gradcheck", help="run the differentiation oracle suite")
-    grad_p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
-    grad_p.set_defaults(func=cmd_gradcheck)
 
     sweep_p = sub.add_parser("sweep", help="run a preset experiment sweep")
     sweep_p.add_argument("what", choices=("scales", "bd"))

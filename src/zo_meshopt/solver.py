@@ -40,7 +40,6 @@ epoch solves on the same 2 * D meshes.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -62,11 +61,10 @@ _AXIS_CACHE_SIZE = 128
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution field plus the residual and timing evidence for it."""
+    """Solution field plus the residual evidence for it."""
 
     field: Field
     residual_norm: float
-    solve_time: float
 
 
 class _Axis(NamedTuple):
@@ -133,7 +131,6 @@ def _solve(
 ) -> SolveReport:
     """rhs_fn gets the interior x lines as a row and y lines as a column and
     returns the (ny - 2, nx - 2) source grid."""
-    start = time.perf_counter()
     nx, ny = mesh.shape
     if nx < 3 or ny < 3:
         raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
@@ -151,7 +148,7 @@ def _solve(
         )
     full = np.zeros((ny, nx))
     full[1:-1, 1:-1] = u
-    return SolveReport(Field(full.ravel(), mesh.shape), residual, time.perf_counter() - start)
+    return SolveReport(Field(full.ravel(), mesh.shape), residual)
 
 
 def solve_poisson(mesh: TensorMesh, params: ScenarioParams) -> SolveReport:

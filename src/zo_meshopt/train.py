@@ -253,19 +253,19 @@ def mesh_grad(
     *,
     base_output: np.ndarray | None = None,
     solve=solve_poisson,
-) -> tuple[np.ndarray, int]:
-    """Mesh-parameter gradient for one scenario: (gradient, solver evals).
+) -> np.ndarray:
+    """Mesh-parameter gradient for one scenario.
 
     frozen costs nothing, exact costs 2 * D central-difference solves, the
     estimator modes cost exactly b solves and require the caller's base
     output and a spec whose kind is mode (TrainConfig derives it, with
-    gauss_coord's d capped at D).
+    gauss_coord's d capped at D).  ``declared_evals`` states these costs;
+    a ``SolveCounter`` around ``solve`` measures them.
     """
-    dim = mesh.n_params
     if mode == "frozen":
-        return np.zeros(dim), 0
+        return np.zeros(mesh.n_params)
     if mode == "exact":
-        return exact_mesh_vjp(mesh, scenario, v_coarse, solve=solve), 2 * dim
+        return exact_mesh_vjp(mesh, scenario, v_coarse, solve=solve)
     if mode not in ESTIMATOR_KINDS:
         raise ConfigError(f"unknown mesh mode {mode!r}, expected one of {MESH_MODES}")
     if spec is None:
@@ -437,7 +437,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                                 config.estimator, seed=config.estimator.seed + est_calls
                             )
                             est_calls += 1
-                        g, _ = mesh_grad(
+                        mesh_g += mesh_grad(
                             config.mesh_mode,
                             coarse,
                             v_scaled,
@@ -446,7 +446,6 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                             base_output=coarse_field.values,
                             solve=solve,
                         )
-                        mesh_g += g
                 batch_losses.append(float(np.mean(losses)))
                 theta_grad = np.mean(np.stack(theta_grads), axis=0)
                 try:

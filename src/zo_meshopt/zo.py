@@ -54,15 +54,6 @@ class EstimatorSpec:
             raise ConfigError(f"subset size d={self.d} must lie in [1, {dim}]")
 
 
-@dataclass(frozen=True)
-class PerturbationDraw:
-    """One direction plus where it came from."""
-
-    direction: np.ndarray
-    coordinate: int | None = None
-    subset: np.ndarray | None = None
-
-
 def _substream(seed: int, k: int) -> np.random.Generator:
     """Generator k of the pair SeedSequence(seed).spawn(2), built directly.
 
@@ -71,34 +62,34 @@ def _substream(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
-def draw_directions(spec: EstimatorSpec, dim: int) -> list[PerturbationDraw]:
-    """Materialize all b directions up front, in a deterministic order.
+def draw_directions(spec: EstimatorSpec, dim: int) -> np.ndarray:
+    """All b directions up front, as the rows of one (b, dim) array.
 
-    The subset draw for gauss_coord uses its own substream, so with d == dim
-    the directions match the gaussian kind bit for bit under the same seed.
+    coordinate rows are unit vectors, visiting coordinates without
+    replacement within each block of dim rows; gaussian rows are standard
+    normals; gauss_coord rows are normals that are zero off one subset of d
+    coordinates, shared by every row of the call.  The subset draw uses
+    its own substream, so with d == dim the directions match the gaussian
+    kind bit for bit under the same seed.
     """
     spec.validate(dim)
     rng_dir = _substream(spec.seed, 0)
-    draws: list[PerturbationDraw] = []
     if spec.kind == "coordinate":
         order: list[int] = []
         while len(order) < spec.b:
             order.extend(rng_dir.permutation(dim).tolist())
-        for xi in order[: spec.b]:
-            e = np.zeros(dim)
-            e[xi] = 1.0
-            draws.append(PerturbationDraw(e, coordinate=int(xi)))
-    elif spec.kind == "gaussian":
-        # One (b, dim) draw fills row after row, the same values as b
-        # successive standard_normal(dim) draws.
-        draws.extend(PerturbationDraw(g) for g in rng_dir.standard_normal((spec.b, dim)))
-    else:
-        subset = np.sort(_substream(spec.seed, 1).permutation(dim)[: spec.d])
+        directions = np.zeros((spec.b, dim))
+        directions[np.arange(spec.b), order[: spec.b]] = 1.0
+        return directions
+    # One (b, dim) draw fills row after row, the same values as b successive
+    # standard_normal(dim) draws.
+    directions = rng_dir.standard_normal((spec.b, dim))
+    if spec.kind == "gauss_coord":
+        subset = _substream(spec.seed, 1).permutation(dim)[: spec.d]
         mask = np.zeros(dim, dtype=bool)
         mask[subset] = True
-        directions = np.where(mask, rng_dir.standard_normal((spec.b, dim)), 0.0)
-        draws.extend(PerturbationDraw(g, subset=subset) for g in directions)
-    return draws
+        directions = np.where(mask, directions, 0.0)
+    return directions
 
 
 def zo_vjp(
@@ -107,11 +98,12 @@ def zo_vjp(
     base_output: np.ndarray,
     v: np.ndarray,
     spec: EstimatorSpec,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Estimate the VJP of evaluate at m0 from exactly b forward calls.
 
     The caller supplies base_output = evaluate(m0) so the base solve is never
-    repeated.
+    repeated.  Returns the gradient estimate, accumulated row by row in the
+    order of ``draw_directions``.
     """
     m0 = np.asarray(m0, dtype=float)
     base = np.asarray(base_output, dtype=float)
@@ -120,10 +112,10 @@ def zo_vjp(
         raise ValueError(
             f"cotangent shape {cot.shape} does not match output shape {base.shape}"
         )
-    draws = draw_directions(spec, m0.size)
-    outputs = run_ordered(evaluate, [m0 + spec.mu * d.direction for d in draws])
+    directions = draw_directions(spec, m0.size)
+    outputs = run_ordered(evaluate, [m0 + spec.mu * u for u in directions])
     grad = np.zeros(m0.size)
-    for draw, out in zip(draws, outputs):
+    for u, out in zip(directions, outputs):
         out = np.asarray(out, dtype=float)
         if out.shape != base.shape:
             raise ValueError(
@@ -132,9 +124,9 @@ def zo_vjp(
         if not np.all(np.isfinite(out)):
             raise SolverError("evaluate returned non-finite values during estimation")
         s = float(cot @ (out - base)) / spec.mu
-        grad += s * draw.direction
+        grad += s * u
     grad /= spec.b
-    return grad, spec.b
+    return grad
 
 
 def _scalar_objective(
@@ -157,8 +149,7 @@ def zo_grad_scalar(
     """Gradient estimate for a scalar objective; evaluates the base once."""
     m0 = np.asarray(m0, dtype=float)
     wrapped, base = _scalar_objective(f, m0)
-    grad, _ = zo_vjp(wrapped, m0, base, np.ones(1), spec)
-    return grad
+    return zo_vjp(wrapped, m0, base, np.ones(1), spec)
 
 
 def estimator_stats(
@@ -179,5 +170,5 @@ def estimator_stats(
     cot = np.ones(1)
     estimates = np.empty((trials, m0.size))
     for i in range(trials):
-        estimates[i], _ = zo_vjp(wrapped, m0, base, cot, replace(spec, seed=spec.seed + i))
+        estimates[i] = zo_vjp(wrapped, m0, base, cot, replace(spec, seed=spec.seed + i))
     return estimates.mean(axis=0), estimates.var(axis=0, ddof=1)

@@ -195,13 +195,6 @@ def test_rerun_metrics_identical_except_wall_time(tmp_path):
     assert stable(tmp_path / "r1") == stable(tmp_path / "r2")
 
 
-def test_gradcheck_prints_four_pass_lines(capsys):
-    assert cli.main(["gradcheck"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 4
-    assert all(line.endswith("PASS") for line in out)
-
-
 def test_sweep_scales_writes_csv(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", fine_n=17, epochs=2, warm_start_epochs=2,
                        out_dir=str(tmp_path / "sw"))
@@ -238,24 +231,14 @@ def test_entry_point_installed():
     assert "train" in proc.stdout and "sweep" in proc.stdout
 
 
-def test_python_dash_m_runs_gradcheck():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "zo_meshopt", "gradcheck"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert len(lines) == 4 and all(line.endswith("PASS") for line in lines)
-
-
-def test_python_dash_m_cli_module_trains(tmp_path):
-    """``python -m zo_meshopt.cli train`` runs training, not just an import."""
+@pytest.mark.parametrize("module", ["zo_meshopt", "zo_meshopt.cli"])
+def test_python_dash_m_cli_module_trains(tmp_path, module):
+    """``python -m <module> train`` runs training, not just an import."""
     cfg = write_config(tmp_path / "c.json")
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "zo_meshopt.cli", "train", "--config", str(cfg)],
+    proc = subprocess.run([sys.executable, "-m", module, "train", "--config", str(cfg)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "metrics.csv").is_file()

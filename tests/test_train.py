@@ -24,6 +24,7 @@ from zo_meshopt.solver import solve_poisson
 from zo_meshopt.train import (
     INCOMPLETE_MARKER,
     METRICS_HEADER,
+    SolveCounter,
     TrainConfig,
     declared_evals,
     initial_coarse_mesh,
@@ -138,16 +139,23 @@ def test_mesh_grad_contracts():
     coarse = uniform_mesh(5)
     scenario = ScenarioParams(alpha=1.0)
     v = Field(np.ones(coarse.n_nodes), coarse.shape)
-    g, n = mesh_grad("frozen", coarse, v, scenario)
+
+    def solves_of(mode, spec=None, base_output=None):
+        counter = SolveCounter()
+        g = mesh_grad(mode, coarse, v, scenario, spec, base_output=base_output,
+                      solve=counter.wrap(solve_poisson))
+        return g, counter.count
+
+    g, n = solves_of("frozen")
     assert n == 0 and np.all(g == 0.0)
 
-    g, n = mesh_grad("exact", coarse, v, scenario)
+    g, n = solves_of("exact")
     assert n == 2 * coarse.n_params
     assert np.any(g != 0.0)
 
     base = solve_poisson(coarse, scenario).field.values
     spec = EstimatorSpec(kind="gaussian", b=3, seed=0)
-    g, n = mesh_grad("gaussian", coarse, v, scenario, spec, base_output=base)
+    g, n = solves_of("gaussian", spec, base)
     assert n == 3
 
     with pytest.raises(ConfigError):
@@ -381,8 +389,8 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
         theta_grads.append(net.flatten(grads))
         spec = dataclasses.replace(est, seed=est.seed + k) if mode != "exact" else None
         v_scaled = Field(v.values / order.size, v.mesh_shape)
-        g, _ = mesh_grad(mode, coarse, v_scaled, scenario, spec, base_output=coarse_field.values)
-        mesh_g += g
+        mesh_g += mesh_grad(mode, coarse, v_scaled, scenario, spec,
+                            base_output=coarse_field.values)
     _, want_theta = adam_step(
         init_adam(net.n_params(netp.layer_dims), config.lr),
         net.flatten(netp),
