@@ -181,21 +181,6 @@ def _check_room(k: int, s_min: float) -> None:
         )
 
 
-def _project_lines(interior: np.ndarray, s_min: float) -> np.ndarray:
-    """Boundary-pinned, sorted lines with every gap >= s_min.
-
-    When the sorted lines already keep every gap >= s_min they are returned
-    as they are, which is exactly what the clamping sweep of
-    _project_lines_loop would return; only input with a short gap pays for
-    the sweep.
-    """
-    _check_room(interior.size, s_min)
-    lines = np.concatenate(([0.0], np.sort(interior), [1.0]))
-    if (lines[1:] - lines[:-1]).min() >= s_min:
-        return lines
-    return _project_lines_loop(interior, s_min)
-
-
 def _project_lines_loop(interior: np.ndarray, s_min: float) -> np.ndarray:
     """The clamping sweep: sort, then clamp each line into [lo, hi]."""
     k = interior.size
@@ -228,25 +213,57 @@ def _project_lines_loop(interior: np.ndarray, s_min: float) -> np.ndarray:
     return out
 
 
-def params_to_mesh(template: TensorMesh, params: np.ndarray) -> TensorMesh:
-    """Rebuild a feasible mesh from a parameter vector.
+def _project_lines(interior: np.ndarray, s_min: float) -> np.ndarray:
+    """Boundary-pinned, sorted lines with every gap >= s_min, one row per
+    row of interior.
 
-    Interior positions are sorted ascending, then swept left to right with
-    each line clamped so every gap (boundaries included) stays >= s_min.
-    Already-feasible parameters pass through unchanged, so the projection is
-    idempotent.
+    A row whose sorted lines already keep every gap >= s_min is returned as
+    it is, which is exactly what the clamping sweep of _project_lines_loop
+    would return; only a row with a short gap pays for the sweep.
     """
+    rows, k = interior.shape
+    _check_room(k, s_min)
+    lines = np.empty((rows, k + 2))
+    lines[:, 0] = 0.0
+    lines[:, -1] = 1.0
+    lines[:, 1:-1] = np.sort(interior, axis=1)
+    short = (lines[:, 1:] - lines[:, :-1]).min(axis=1) < s_min
+    for r in np.flatnonzero(short):
+        lines[r] = _project_lines_loop(interior[r], s_min)
+    return lines
+
+
+def params_to_meshes(template: TensorMesh, params: np.ndarray) -> list[TensorMesh]:
+    """Rebuild one feasible mesh from each row of a (b, D) parameter block.
+
+    Each row's interior positions are sorted ascending, then swept left to
+    right with each line clamped so every gap (boundaries included) stays
+    >= s_min.  Already-feasible rows pass through unchanged, so the
+    projection is idempotent.  All rows are sorted and checked in one
+    vectorized pass; only a row with a short gap runs the sweep.
+    """
+    p = np.asarray(params, dtype=float)
+    if p.ndim != 2 or p.shape[1] != template.n_params:
+        raise ValueError(
+            f"expected rows of {template.n_params} mesh parameters, got shape {p.shape}"
+        )
+    if not np.all(np.isfinite(p)):
+        raise ValueError("mesh parameters contain non-finite values")
+    n_xi = template.x_lines.size - 2
+    xs = _project_lines(p[:, :n_xi], template.s_min)
+    ys = _project_lines(p[:, n_xi:], template.s_min)
+    return [TensorMesh(x, y, template.s_min) for x, y in zip(xs, ys)]
+
+
+def params_to_mesh(template: TensorMesh, params: np.ndarray) -> TensorMesh:
+    """Rebuild a feasible mesh from a parameter vector: the one-row case of
+    params_to_meshes."""
     p = np.asarray(params, dtype=float)
     if p.shape != (template.n_params,):
         raise ValueError(
             f"expected {template.n_params} mesh parameters, got shape {p.shape}"
         )
-    if not np.all(np.isfinite(p)):
-        raise ValueError("mesh parameters contain non-finite values")
-    n_xi = template.x_lines.size - 2
-    x = _project_lines(p[:n_xi], template.s_min)
-    y = _project_lines(p[n_xi:], template.s_min)
-    return TensorMesh(x, y, template.s_min)
+    return params_to_meshes(template, p[None])[0]
 
 
 def _nearest_line_index(lines: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -2,15 +2,18 @@
 
 ``run_ordered`` evaluates its items inline, one after another, in the
 calling thread: a coarse solve costs less than handing it to a worker pool
-would.  The estimator and the central-difference oracle still route their
-batches through this one function because the benchmark's tracer
-(``bench/layertrace.py``) wraps ``runtime.run_ordered`` to time each batch;
-the module can go once the tracer stops doing so.
+would.  Only the central-difference oracle still routes its batch through
+this one function, because the benchmark's tracer (``bench/layertrace.py``)
+wraps ``runtime.run_ordered`` to time each batch; the estimator hands its
+whole block to the batched ``evaluate`` of ``solver.make_evaluate``
+instead.  The module can go once the tracer stops wrapping it.
 
 ZO_MESHOPT_THREADS once sized a worker pool.  It no longer changes how
 anything runs, but every call with two or more items still validates it, so
 a script that sets it to a bad value keeps failing with a ``ConfigError``
-instead of silently running; a single item runs without reading it.
+instead of silently running; a single item runs without reading it.  Since
+only the oracle calls it, a bad value stops an exact-mode run but no longer
+stops a run in a zeroth-order mode.
 """
 
 from __future__ import annotations

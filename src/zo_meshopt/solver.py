@@ -24,12 +24,18 @@ An axis factorization depends only on that axis's lines, and most of them
 repeat from call to call: one coarse mesh is solved for every scenario
 alpha of an epoch, a uniform fine mesh has equal x and y lines, and each
 central-difference perturbation of ``exact_mesh_vjp`` moves one line, so
-its other axis is the base mesh's.  Factorizations are therefore cached,
-keyed on the bytes of the lines (see ``_AXIS_CACHE_SIZE`` for the bound),
-and every cached array is read-only.  The cache saves eigendecompositions,
-not solves: each call still builds its source, solves, checks its residual
-and returns its own report, so a caller that counts solver calls counts
-exactly what it did before.
+its other axis is the base mesh's.  Factorizations are therefore kept in a
+least-recently-used cache keyed on the bytes of the lines (see
+``_AXIS_CACHE_SIZE`` for the bound), and every cached array is read-only.
+A zeroth-order perturbation moves every line, so both axes of each
+perturbed mesh are new.  ``make_evaluate`` and the oracle therefore
+factorize all the missing axes of a block of meshes before solving any of
+them, in one stacked ``eigh`` per line count; a stacked ``eigh`` runs the
+same LAPACK call on each matrix, so every axis is bit for bit what it would
+be alone, and a single lookup that misses is the stack of one.  The cache
+saves eigendecompositions, not solves: each call still builds its source,
+solves, checks its residual and returns its own report, so a caller that
+counts solver calls counts exactly what it did before.
 
 The oracle's perturbed meshes depend only on the base mesh and the step h,
 not on the scenario, so ``exact_mesh_vjp`` projects them once per base mesh
@@ -40,13 +46,14 @@ epoch solves on the same 2 * D meshes.
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import SolverError
-from .grid import Field, ScenarioParams, TensorMesh, mesh_to_params, params_to_mesh
+from .grid import Field, ScenarioParams, TensorMesh, mesh_to_params, params_to_meshes
 from .runtime import run_ordered
 
 RESIDUAL_TOL = 1e-10
@@ -80,36 +87,79 @@ class _Axis(NamedTuple):
     t: np.ndarray
 
 
-def _axis(lines: np.ndarray) -> _Axis:
-    """The factorized operator of one axis, shared by every mesh with these lines."""
-    return _axis_of(np.asarray(lines, dtype=float).tobytes())
+# Least recently used first; _store evicts down to _AXIS_CACHE_SIZE entries.
+_AXES: OrderedDict[bytes, _Axis] = OrderedDict()
 
 
-@functools.lru_cache(maxsize=_AXIS_CACHE_SIZE)
-def _axis_of(key: bytes) -> _Axis:
-    lines = np.frombuffer(key)
-    gaps = np.diff(lines)
+def _factorize(lines: np.ndarray) -> list[_Axis]:
+    """The operators of a (k, n + 2) stack of axes with equal line counts,
+    from one stacked eigh: the same LAPACK call on each matrix, so each
+    axis comes out bit for bit as it would alone."""
+    gaps = np.diff(lines, axis=1)
     inv_gap = 1.0 / gaps
-    m = 0.5 * (gaps[:-1] + gaps[1:])
-    lower = inv_gap[:-1] / m
-    upper = inv_gap[1:] / m
+    m = 0.5 * (gaps[:, :-1] + gaps[:, 1:])
+    lower = inv_gap[:, :-1] / m
+    upper = inv_gap[:, 1:] / m
     diag = lower + upper
     # M^1/2 T M^-1/2 = M^-1/2 S M^-1/2 is symmetric; eigh reads only its
     # lower triangle, so the super-diagonal is left empty.
     root_m = np.sqrt(m)
-    n = m.size
-    sym = np.zeros((n, n))
-    sym.flat[:: n + 1] = diag
-    sym.flat[n :: n + 1] = -inv_gap[1:-1] / (root_m[:-1] * root_m[1:])
-    lam, q = np.linalg.eigh(sym)
-    t = np.zeros((n, n))
-    t.flat[:: n + 1] = diag
-    t.flat[n :: n + 1] = -lower[1:]
-    t.flat[1 :: n + 1] = -upper[:-1]
-    axis = _Axis(lam, q / root_m[:, None], q.T * root_m, t)
-    for array in axis:
+    k, n = m.shape
+    sym = np.zeros((k, n * n))
+    sym[:, :: n + 1] = diag
+    sym[:, n :: n + 1] = -inv_gap[:, 1:-1] / (root_m[:, :-1] * root_m[:, 1:])
+    lam, q = np.linalg.eigh(sym.reshape(k, n, n))
+    t = np.zeros((k, n * n))
+    t[:, :: n + 1] = diag
+    t[:, n :: n + 1] = -lower[:, 1:]
+    t[:, 1 :: n + 1] = -upper[:, :-1]
+    stacks = (lam, q / root_m[:, :, None], q.transpose(0, 2, 1) * root_m[:, None, :],
+              t.reshape(k, n, n))
+    for array in stacks:
         array.flags.writeable = False
+    return [_Axis(*arrays) for arrays in zip(*stacks)]
+
+
+def _store(keys: list[bytes]) -> list[_Axis]:
+    """Factorize the axes keyed by keys (distinct, none cached), one stacked
+    eigh per line count, and cache them, evicting the least recently used."""
+    by_size: dict[int, list[bytes]] = {}
+    for key in keys:
+        by_size.setdefault(len(key), []).append(key)
+    made = {}
+    for group in by_size.values():
+        stack = np.frombuffer(b"".join(group)).reshape(len(group), -1)
+        made.update(zip(group, _factorize(stack)))
+    _AXES.update(made)
+    while len(_AXES) > _AXIS_CACHE_SIZE:
+        _AXES.popitem(last=False)
+    return [made[key] for key in keys]
+
+
+def _axis(lines: np.ndarray) -> _Axis:
+    """The factorized operator of one axis, shared by every mesh with these
+    lines; a miss is a stack of one."""
+    key = np.asarray(lines, dtype=float).tobytes()
+    axis = _AXES.get(key)
+    if axis is None:
+        return _store([key])[0]
+    _AXES.move_to_end(key)
     return axis
+
+
+def _cache_axes(meshes: Iterable[TensorMesh]) -> None:
+    """Factorize every axis of meshes that is not cached yet, so that each
+    of their solves finds both its axes in the cache."""
+    missing = []
+    for key in dict.fromkeys(
+        lines.tobytes() for mesh in meshes for lines in (mesh.x_lines, mesh.y_lines)
+    ):
+        if key in _AXES:
+            _AXES.move_to_end(key)
+        else:
+            missing.append(key)
+    if missing:
+        _store(missing)
 
 
 def _apply_operator(ax: _Axis, ay: _Axis, w: np.ndarray) -> np.ndarray:
@@ -176,20 +226,29 @@ def make_evaluate(
     *,
     solve: Callable[[TensorMesh, ScenarioParams], SolveReport] = solve_poisson,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Opaque forward interface: mesh-parameter vector in, field values out.
+    """Opaque forward interface: a (b, D) block of mesh-parameter rows in,
+    the (b, n) block of their solved field values out.
 
     This is the only view of the solver that gradient-estimation code gets.
+    The block is projected in one pass and its new axes are factorized
+    together; each row is then one ``solve`` call.
     """
 
     def evaluate(p: np.ndarray) -> np.ndarray:
-        return solve(params_to_mesh(template, p), params).field.values
+        meshes = params_to_meshes(template, p)
+        _cache_axes(meshes)
+        out = np.empty((len(meshes), template.n_nodes))
+        for row, mesh in zip(out, meshes):
+            row[:] = solve(mesh, params).field.values
+        return out
 
     return evaluate
 
 
 def _perturbed_meshes(mesh: TensorMesh, h: float) -> tuple[TensorMesh, ...]:
     """The oracle's 2 * D meshes p0 + h e_k, p0 - h e_k, k = 0 .. D - 1, in
-    that order, shared by every scenario solved on this mesh."""
+    that order, shared by every scenario solved on this mesh; projected in
+    one block, with their new axes factorized, once per base mesh."""
     return _perturbed_meshes_of(mesh.x_lines.tobytes(), mesh.y_lines.tobytes(), mesh.s_min, h)
 
 
@@ -199,13 +258,13 @@ def _perturbed_meshes_of(
 ) -> tuple[TensorMesh, ...]:
     mesh = TensorMesh(np.frombuffer(x_key), np.frombuffer(y_key), s_min)
     p0 = mesh_to_params(mesh)
-    meshes = []
-    for k in range(p0.size):
-        step = np.zeros(p0.size)
-        step[k] = h
-        meshes.append(params_to_mesh(mesh, p0 + step))
-        meshes.append(params_to_mesh(mesh, p0 - step))
-    return tuple(meshes)
+    steps = np.zeros((2 * p0.size, p0.size))
+    k = np.arange(p0.size)
+    steps[2 * k, k] = h
+    steps[2 * k + 1, k] = -h
+    meshes = tuple(params_to_meshes(mesh, p0 + steps))
+    _cache_axes(meshes)
+    return meshes
 
 
 def exact_mesh_vjp(
@@ -222,9 +281,10 @@ def exact_mesh_vjp(
     mesh parameters to solved field values.  Costs 2 * D solves, each one
     counted solver call, so ``n_solver_evals`` grows by 2 * D per call.  The
     perturbed meshes are projected once per base mesh and step and reused
-    for every scenario.  Each moves one line: it factorizes that one new
-    axis and reuses the base mesh's other axis, and the same 2 * D + 2 axes
-    serve every scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart
+    for every scenario, and their new axes are factorized together with
+    them.  Each moves one line: it brings that one new axis and reuses the
+    base mesh's other axis, and the same 2 * D + 2 axes serve every
+    scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart
     from the estimator code, which must only ever see make_evaluate.
     """
     if v.mesh_shape != mesh.shape:

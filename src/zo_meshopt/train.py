@@ -117,10 +117,10 @@ class TrainConfig:
             )
         if self.scenario_batch is not None and self.scenario_batch < 1:
             raise ConfigError(f"scenario_batch must be >= 1, got {self.scenario_batch}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.mesh_lr is not None and self.mesh_lr <= 0:
-            raise ConfigError(f"mesh_lr must be positive, got {self.mesh_lr}")
+        if not np.isfinite(self.lr) or self.lr <= 0:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.mesh_lr is not None and (not np.isfinite(self.mesh_lr) or self.mesh_lr <= 0):
+            raise ConfigError(f"mesh_lr must be positive and finite, got {self.mesh_lr}")
         if self.mesh_mode in ESTIMATOR_KINDS:
             self.estimator.validate(self.mesh_dim)
 

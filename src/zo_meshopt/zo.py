@@ -1,7 +1,8 @@
 """Gradient estimation for black-box vector maps from forward evaluations.
 
 Given a cotangent v and a base output O(m0), each scheme draws b directions
-u_j, evaluates O(m0 + mu * u_j), and returns
+u_j, evaluates O(m0 + mu * u_j) for all j in one call on the (b, D) block of
+perturbed inputs, and returns
 
     (1/b) * sum_j  <v, O(m0 + mu * u_j) - O(m0)> / mu  *  u_j
 
@@ -20,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .runtime import run_ordered
 
 ESTIMATOR_KINDS = ("coordinate", "gaussian", "gauss_coord")
 
@@ -99,11 +99,13 @@ def zo_vjp(
     v: np.ndarray,
     spec: EstimatorSpec,
 ) -> np.ndarray:
-    """Estimate the VJP of evaluate at m0 from exactly b forward calls.
+    """Estimate the VJP of evaluate at m0 from exactly b forward evaluations.
 
-    The caller supplies base_output = evaluate(m0) so the base solve is never
-    repeated.  Returns the gradient estimate, accumulated row by row in the
-    order of ``draw_directions``.
+    evaluate maps a (b, D) block of inputs, one per row, to the (b, n) block
+    of their outputs; it is called once, on the b perturbed inputs.  The
+    caller supplies base_output = O(m0), shape (n,), so the base evaluation
+    is never repeated.  Returns the gradient estimate, accumulated row by
+    row in the order of ``draw_directions``.
     """
     m0 = np.asarray(m0, dtype=float)
     base = np.asarray(base_output, dtype=float)
@@ -113,16 +115,15 @@ def zo_vjp(
             f"cotangent shape {cot.shape} does not match output shape {base.shape}"
         )
     directions = draw_directions(spec, m0.size)
-    outputs = run_ordered(evaluate, [m0 + spec.mu * u for u in directions])
+    outputs = np.asarray(evaluate(m0 + spec.mu * directions), dtype=float)
+    if outputs.shape != (spec.b, *base.shape):
+        raise ValueError(
+            f"evaluate returned shape {outputs.shape}, expected {(spec.b, *base.shape)}"
+        )
+    if not np.all(np.isfinite(outputs)):
+        raise SolverError("evaluate returned non-finite values during estimation")
     grad = np.zeros(m0.size)
     for u, out in zip(directions, outputs):
-        out = np.asarray(out, dtype=float)
-        if out.shape != base.shape:
-            raise ValueError(
-                f"evaluate returned shape {out.shape}, expected {base.shape}"
-            )
-        if not np.all(np.isfinite(out)):
-            raise SolverError("evaluate returned non-finite values during estimation")
         s = float(cot @ (out - base)) / spec.mu
         grad += s * u
     grad /= spec.b
@@ -132,12 +133,13 @@ def zo_vjp(
 def _scalar_objective(
     f: Callable[[np.ndarray], float], m0: np.ndarray
 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """Wrap f as a length-1 vector map and evaluate it once at m0."""
+    """Wrap f as a length-1 vector map over the rows of a block and
+    evaluate it once at m0."""
 
-    def wrapped(p: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.asarray(f(p), dtype=float))
+    def wrapped(rows: np.ndarray) -> np.ndarray:
+        return np.array([np.atleast_1d(np.asarray(f(p), dtype=float)) for p in rows])
 
-    base = wrapped(m0)
+    base = wrapped(m0[None])[0]
     if base.size != 1:
         raise ValueError(f"objective must be scalar-valued, got {base.size} outputs")
     return wrapped, base

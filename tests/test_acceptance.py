@@ -85,9 +85,9 @@ def test_estimator_exactness_on_linear_maps():
 
             calls = []
 
-            def evaluate(m, a=a, calls=calls):
-                calls.append(1)
-                return a @ m
+            def evaluate(rows, a=a, calls=calls):
+                calls.extend([1] * len(rows))
+                return np.array([a @ m for m in rows])
 
             est = zo_vjp(evaluate, m0, a @ m0, v, spec)
             acc = np.zeros(dim)
@@ -100,7 +100,8 @@ def test_estimator_exactness_on_linear_maps():
     a = np.arange(-11.0, 13.0).reshape(4, 6)
     v = np.array([2.0, -3.0, 1.0, 4.0])
     spec = EstimatorSpec(kind="coordinate", mu=0.25, b=6, seed=0)
-    est = zo_vjp(lambda m: a @ m, np.zeros(6), a @ np.zeros(6), v, spec)
+    est = zo_vjp(lambda rows: np.array([a @ m for m in rows]), np.zeros(6), a @ np.zeros(6),
+                 v, spec)
     identity_exact = bool(np.array_equal(est, (a.T @ v) / 6.0))
 
     elapsed = time.perf_counter() - t0

@@ -121,6 +121,14 @@ def test_non_finite_mu_exits_two_before_training(tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("field,bad", [("lr", float("nan")), ("mesh_lr", float("inf"))])
+def test_non_finite_learning_rate_exits_two_before_training(tmp_path, capsys, field, bad):
+    cfg = write_config(tmp_path / "c.json", mesh_mode="gaussian", **{field: bad})
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_estimator_kind_contradicting_mesh_mode_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", mesh_mode="gaussian",
                        estimator={"kind": "gauss_coord", "d": 1})

@@ -16,6 +16,7 @@ from zo_meshopt.grid import (
     mesh_to_params,
     nearest_upsample,
     params_to_mesh,
+    params_to_meshes,
     read_field_csv,
     uniform_mesh,
     upsample_adjoint,
@@ -110,6 +111,38 @@ def test_projection_idempotent_and_feasible(vals, _):
     assert np.array_equal(m1.y_lines, m2.y_lines)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.integers(3, 12), st.integers(1, 8),
+       st.floats(1e-5, 0.5), st.integers(0, 2**32 - 1))
+def test_params_to_meshes_equals_row_wise_projection(nx, ny, rows, scale, seed):
+    """Each row of a block projects to the mesh its own params_to_mesh call
+    and its own clamping sweeps give, lines crossing or crowded included."""
+    rng = np.random.default_rng(seed)
+    m = uniform_mesh(nx, ny)
+    block = mesh_to_params(m) + scale * rng.standard_normal((rows, m.n_params))
+    block[0, 1:] = block[0, 0]  # every line of row 0 on one spot
+    meshes = params_to_meshes(m, block)
+    assert len(meshes) == rows
+    n_xi = nx - 2
+    for got, p in zip(meshes, block):
+        one = params_to_mesh(m, p)
+        swept_x = _project_lines_loop(p[:n_xi], m.s_min)
+        swept_y = _project_lines_loop(p[n_xi:], m.s_min)
+        for lines, want in ((got.x_lines, one.x_lines), (got.x_lines, swept_x),
+                            (got.y_lines, one.y_lines), (got.y_lines, swept_y)):
+            assert lines.tobytes() == want.tobytes()
+
+
+def test_params_to_meshes_rejects_bad_blocks():
+    m = uniform_mesh(5)
+    with pytest.raises(ValueError, match="rows of 6"):
+        params_to_meshes(m, mesh_to_params(m))
+    block = np.tile(mesh_to_params(m), (3, 1))
+    block[1, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        params_to_meshes(m, block)
+
+
 def test_projection_crowded_top_and_bottom():
     # all candidates piled on one side must fan out at exactly legal gaps
     m = uniform_mesh(9)
@@ -165,9 +198,9 @@ def test_projection_fast_path_matches_loop(case):
         want = _project_lines_loop(interior, s_min)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
-            _project_lines(interior, s_min)
+            _project_lines(interior[None], s_min)
         return
-    assert _project_lines(interior, s_min).tobytes() == want.tobytes()
+    assert _project_lines(interior[None], s_min)[0].tobytes() == want.tobytes()
 
 
 def test_feasible_lines_skip_the_sweep(monkeypatch):
@@ -177,7 +210,7 @@ def test_feasible_lines_skip_the_sweep(monkeypatch):
     monkeypatch.setattr(grid_mod, "_project_lines_loop", no_sweep)
     interior = np.array([0.75, DEFAULT_MIN_GAP, 0.5, 0.9])
     assert np.array_equal(
-        _project_lines(interior, DEFAULT_MIN_GAP), [0.0, DEFAULT_MIN_GAP, 0.5, 0.75, 0.9, 1.0]
+        _project_lines(interior[None], DEFAULT_MIN_GAP)[0], [0.0, DEFAULT_MIN_GAP, 0.5, 0.75, 0.9, 1.0]
     )
 
 

@@ -1,6 +1,7 @@
 """Finite-difference Poisson solver on non-uniform tensor meshes."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zo_meshopt.solver as solver_mod
 from zo_meshopt.errors import SolverError
@@ -187,9 +188,33 @@ def test_make_evaluate_round_trip():
     params = ScenarioParams(alpha=1.3)
     evaluate = make_evaluate(mesh, params)
     from zo_meshopt.grid import mesh_to_params
-    out = evaluate(mesh_to_params(mesh))
+    out = evaluate(mesh_to_params(mesh)[None])
     direct = solve_poisson(mesh, params).field.values
-    assert np.array_equal(out, direct)
+    assert out.shape == (1, mesh.n_nodes)
+    assert np.array_equal(out[0], direct)
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (6, 11)])
+def test_make_evaluate_block_equals_per_row_solves(shape):
+    """Each row of one batched call is that row's own projected solve, bit
+    for bit, and the call makes exactly one counted solve per row."""
+    from zo_meshopt.grid import mesh_to_params, params_to_mesh
+    from zo_meshopt.train import SolveCounter
+
+    rng = np.random.default_rng(12)
+    mesh = TensorMesh(_random_lines(rng, shape[0]), _random_lines(rng, shape[1]))
+    params = ScenarioParams(alpha=0.93)
+    p0 = mesh_to_params(mesh)
+    block = p0 + 1e-3 * rng.standard_normal((8, p0.size))
+    block[3] = p0
+    block[5, :2] = 0.5  # two lines on one spot: the sweep runs
+    counter = SolveCounter()
+    got = make_evaluate(mesh, params, solve=counter.wrap(solve_poisson))(block)
+    assert counter.count == block.shape[0]
+    assert got.shape == (block.shape[0], mesh.n_nodes)
+    for row, p in zip(got, block):
+        want = solve_poisson(params_to_mesh(mesh, p), params).field.values
+        assert row.tobytes() == want.tobytes()
 
 
 def test_exact_mesh_vjp_matches_dense_jacobian():
@@ -213,51 +238,97 @@ def test_exact_mesh_vjp_matches_dense_jacobian():
     assert np.allclose(got, jac_v, rtol=1e-9, atol=1e-12)
 
 
-def _cache_misses():
-    return solver_mod._axis_of.cache_info().misses
+@pytest.fixture
+def axis_misses(monkeypatch):
+    """Empties the axis cache; the returned list gets one entry per axis
+    factorized from then on."""
+    misses = []
+    factorize = solver_mod._factorize
+
+    def counted(lines):
+        misses.extend([1] * len(lines))
+        return factorize(lines)
+
+    monkeypatch.setattr(solver_mod, "_factorize", counted)
+    solver_mod._AXES.clear()
+    return misses
 
 
 def test_cached_axes_equal_fresh_factorizations_and_are_read_only():
-    solver_mod._axis_of.cache_clear()
+    solver_mod._AXES.clear()
     for mesh in _oracle_meshes():
         solve_poisson(mesh, ScenarioParams(alpha=0.9))
         for lines in (mesh.x_lines, mesh.y_lines):
             cached = solver_mod._axis(lines)
-            fresh = solver_mod._axis_of.__wrapped__(lines.tobytes())
+            (fresh,) = solver_mod._factorize(lines[None])
             assert cached is solver_mod._axis(lines.copy())
             for name, got, want in zip(solver_mod._Axis._fields, cached, fresh):
                 assert np.array_equal(got, want), name
                 assert not got.flags.writeable, name
 
 
-def test_exact_oracle_factorizes_each_axis_once_across_alphas():
+def _assert_same_axis(got, want):
+    for name, g, w in zip(solver_mod._Axis._fields, got, want):
+        assert g.tobytes() == w.tobytes(), name
+        assert (g.flags.c_contiguous, g.flags.f_contiguous) == (
+            w.flags.c_contiguous, w.flags.f_contiguous), name
+        assert not g.flags.writeable, name
+
+
+def _spread_lines(rng, n):
+    """n lines from 0 to 1 with random gaps, all far above s_min."""
+    lines = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n - 1))])
+    lines /= lines[-1]
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(3, 33), min_size=2, max_size=7), st.integers(0, 2**32 - 1))
+def test_stacked_factorizations_equal_one_axis_factorizations(counts, seed):
+    """Axes factorized in one stack, or through _cache_axes in a batch that
+    repeats an axis and holds an already-cached one, are bit for bit the
+    one-axis factorizations, with the same memory layout, all read-only."""
+    rng = np.random.default_rng(seed)
+    axes = [_spread_lines(rng, n) for n in counts]
+    same = [lines for lines in axes if lines.size == axes[0].size]
+    for got, lines in zip(solver_mod._factorize(np.stack([*same, same[0]])), [*same, same[0]]):
+        _assert_same_axis(got, solver_mod._factorize(lines[None])[0])
+
+    solver_mod._AXES.clear()
+    kept = solver_mod._axis(axes[0])
+    meshes = [TensorMesh(x, y) for x, y in zip(axes, axes[1:] + axes[:1])]
+    solver_mod._cache_axes(meshes)
+    assert len(solver_mod._AXES) == len({lines.tobytes() for lines in axes})
+    assert solver_mod._axis(axes[0]) is kept
+    for lines in axes:
+        _assert_same_axis(solver_mod._axis(lines), solver_mod._factorize(lines[None])[0])
+
+
+def test_exact_oracle_factorizes_each_axis_once_across_alphas(axis_misses):
     rng = np.random.default_rng(4)
     mesh = TensorMesh(_random_lines(rng, 17), _random_lines(rng, 17))
     v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
     n_params = 2 * (17 - 2)
-    solver_mod._axis_of.cache_clear()
+    solver_mod._perturbed_meshes_of.cache_clear()
     for alpha in (0.90, 0.91, 0.92, 0.93, 0.94, 0.95):
         exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
-    assert 0 < _cache_misses() <= 2 * n_params + 2
+    assert 0 < len(axis_misses) <= 2 * n_params + 2
 
 
-def test_uniform_mesh_factorizes_one_axis_for_all_alphas():
+def test_uniform_mesh_factorizes_one_axis_for_all_alphas(axis_misses):
     mesh = uniform_mesh(33)
-    solver_mod._axis_of.cache_clear()
     for alpha in np.linspace(0.9, 0.95, 9):
         solve_poisson(mesh, ScenarioParams(alpha))
-    assert _cache_misses() == 1
+    assert len(axis_misses) == 1
 
 
-def test_axis_cache_stays_bounded():
+def test_axis_cache_stays_bounded(axis_misses):
     rng = np.random.default_rng(8)
-    solver_mod._axis_of.cache_clear()
     for _ in range(solver_mod._AXIS_CACHE_SIZE):
         solve_poisson(TensorMesh(_random_lines(rng, 5), _random_lines(rng, 6)),
                       ScenarioParams(1.0))
-    info = solver_mod._axis_of.cache_info()
-    assert info.misses == 2 * solver_mod._AXIS_CACHE_SIZE
-    assert info.currsize <= solver_mod._AXIS_CACHE_SIZE
+    assert len(axis_misses) == 2 * solver_mod._AXIS_CACHE_SIZE
+    assert len(solver_mod._AXES) <= solver_mod._AXIS_CACHE_SIZE
 
 
 _ALPHAS = (0.90, 0.91, 0.92, 0.93, 0.94, 0.95)
@@ -284,9 +355,9 @@ def test_exact_oracle_projects_perturbed_meshes_once_across_alphas(monkeypatch):
     mesh = TensorMesh(_random_lines(rng, 9), _random_lines(rng, 7))
     v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
     projected = []
-    project = solver_mod.params_to_mesh
-    monkeypatch.setattr(solver_mod, "params_to_mesh",
-                        lambda template, p: projected.append(p) or project(template, p))
+    project = solver_mod.params_to_meshes
+    monkeypatch.setattr(solver_mod, "params_to_meshes",
+                        lambda template, p: projected.extend(p) or project(template, p))
     solver_mod._perturbed_meshes_of.cache_clear()
     for alpha in _ALPHAS:
         exact_mesh_vjp(mesh, ScenarioParams(alpha), v)

@@ -237,6 +237,13 @@ def test_config_validation():
             tiny_config(mesh_mode="gaussian", estimator=EstimatorSpec("gaussian", mu=mu)).validate()
 
 
+@pytest.mark.parametrize("field", ["lr", "mesh_lr"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_validation_rejects_non_finite_learning_rates(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: bad}).validate()
+
+
 @pytest.mark.parametrize("mode,est,expect_extra", [
     ("frozen", None, 0),
     ("exact", None, None),

@@ -17,16 +17,22 @@ from zo_meshopt.zo import (
 
 
 def linear_map(a, c):
-    def evaluate(m):
-        return a @ m + c
+    """Row-wise evaluate of m -> a m + c over a (b, D) block."""
+    def evaluate(rows):
+        return np.array([a @ m + c for m in rows])
     return evaluate
 
 
+def at(evaluate, m0):
+    """evaluate's output at the single input m0."""
+    return evaluate(np.asarray(m0)[None])[0]
+
+
 def counted(evaluate, calls):
-    """evaluate, appending one entry to calls per forward call."""
-    def wrapped(m):
-        calls.append(1)
-        return evaluate(m)
+    """evaluate, appending one entry to calls per row it evaluates."""
+    def wrapped(rows):
+        calls.extend([1] * len(rows))
+        return evaluate(rows)
     return wrapped
 
 
@@ -51,7 +57,7 @@ def test_linear_map_matches_closed_form(kind):
         spec = EstimatorSpec(kind=kind, mu=1e-3, b=4, d=3, seed=100 + trial)
         evaluate = linear_map(a, c)
         calls = []
-        est = zo_vjp(counted(evaluate, calls), m0, evaluate(m0), v, spec)
+        est = zo_vjp(counted(evaluate, calls), m0, at(evaluate, m0), v, spec)
         oracle = closed_form_estimate(a, v, draw_directions(spec, dim), spec.mu, spec.b)
         assert len(calls) == 4
         assert np.allclose(est, oracle, rtol=0, atol=1e-9)
@@ -65,7 +71,7 @@ def test_coordinate_full_coverage_equals_scaled_transpose():
     m0 = np.zeros(6)
     spec = EstimatorSpec(kind="coordinate", mu=0.25, b=6, seed=5)
     evaluate = linear_map(a, np.zeros(5))
-    est = zo_vjp(evaluate, m0, evaluate(m0), v, spec)
+    est = zo_vjp(evaluate, m0, at(evaluate, m0), v, spec)
     assert np.array_equal(est, (a.T @ v) / 6.0)
 
 
@@ -135,8 +141,8 @@ def test_same_seed_same_estimate():
     v = rng.standard_normal(4)
     evaluate = linear_map(a, np.zeros(4))
     spec = EstimatorSpec(kind="gaussian", b=2, seed=33)
-    e1 = zo_vjp(evaluate, np.zeros(5), evaluate(np.zeros(5)), v, spec)
-    e2 = zo_vjp(evaluate, np.zeros(5), evaluate(np.zeros(5)), v, spec)
+    e1 = zo_vjp(evaluate, np.zeros(5), at(evaluate, np.zeros(5)), v, spec)
+    e2 = zo_vjp(evaluate, np.zeros(5), at(evaluate, np.zeros(5)), v, spec)
     assert np.array_equal(e1, e2)
 
 
@@ -159,7 +165,7 @@ def test_estimate_linear_in_cotangent(seed, scale_pow):
     s = float(2.0 ** scale_pow)
     evaluate = linear_map(a, np.zeros(3))
     spec = EstimatorSpec(kind="gaussian", b=2, seed=seed)
-    base = evaluate(np.zeros(4))
+    base = at(evaluate, np.zeros(4))
     e1 = zo_vjp(evaluate, np.zeros(4), base, v, spec)
     e2 = zo_vjp(evaluate, np.zeros(4), base, s * v, spec)
     assert np.array_equal(e2, s * e1)
@@ -221,9 +227,26 @@ def test_shape_mismatch_raises():
         zo_vjp(evaluate, np.zeros(3), np.zeros(2), np.ones(3), spec)
 
 
+def test_evaluate_gets_one_block_and_must_return_one_row_per_input():
+    a = np.eye(3)
+    blocks = []
+
+    def evaluate(rows):
+        blocks.append(rows.copy())
+        return linear_map(a, np.zeros(3))(rows)
+
+    spec = EstimatorSpec(kind="gaussian", mu=1e-2, b=4, seed=3)
+    m0 = np.array([0.1, 0.2, 0.3])
+    zo_vjp(evaluate, m0, m0, np.ones(3), spec)
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0], m0 + spec.mu * draw_directions(spec, 3))
+    with pytest.raises(ValueError, match="evaluate returned shape"):
+        zo_vjp(lambda rows: rows[0], m0, m0, np.ones(3), spec)
+
+
 def test_non_finite_output_raises():
-    def evaluate(m):
-        return np.array([np.nan])
+    def evaluate(rows):
+        return np.full((len(rows), 1), np.nan)
 
     spec = EstimatorSpec(kind="gaussian", b=1, seed=0)
     with pytest.raises(SolverError):
