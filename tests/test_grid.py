@@ -210,7 +210,8 @@ def test_feasible_lines_skip_the_sweep(monkeypatch):
     monkeypatch.setattr(grid_mod, "_project_lines_loop", no_sweep)
     interior = np.array([0.75, DEFAULT_MIN_GAP, 0.5, 0.9])
     assert np.array_equal(
-        _project_lines(interior[None], DEFAULT_MIN_GAP)[0], [0.0, DEFAULT_MIN_GAP, 0.5, 0.75, 0.9, 1.0]
+        _project_lines(interior[None], DEFAULT_MIN_GAP)[0],
+        [0.0, DEFAULT_MIN_GAP, 0.5, 0.75, 0.9, 1.0],
     )
 
 
