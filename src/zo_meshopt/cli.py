@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,10 +18,38 @@ from .grid import write_field_csv, write_text_atomic
 from .train import MESH_MODES, TrainConfig, scale_sweep, train_run
 from .zo import ESTIMATOR_KINDS, EstimatorSpec
 
+_CONFIG_TYPES = typing.get_type_hints(TrainConfig)
+_ESTIMATOR_TYPES = typing.get_type_hints(EstimatorSpec)
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorSpec)}
 _BD_GRID = [(b, d) for b in (1, 2, 4, 8) for d in (4, 8, 16)]
 _SCALE_COARSE = (5, 7, 9)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a parsed JSON value fits a field's annotation: an int is a
+    float, a list of numbers is a tuple[float, ...], a bool is neither."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_json_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(
+            _json_fits(v, typing.get_args(hint)[0]) for v in value
+        )
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _check_types(data: dict, hints: dict, where: str) -> None:
+    for key, value in data.items():
+        hint = hints[key]
+        if not _json_fits(value, hint):
+            expected = getattr(hint, "__name__", str(hint))
+            raise ConfigError(f"{where} {key!r} must be {expected}, got {json.dumps(value)}")
 
 
 def load_config(path: str) -> TrainConfig:
@@ -35,6 +65,8 @@ def load_config(path: str) -> TrainConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_types({k: v for k, v in data.items() if k != "estimator"}, _CONFIG_TYPES,
+                 "config key")
     kwargs = dict(data)
     if "estimator" in kwargs:
         est = kwargs["estimator"]
@@ -43,6 +75,7 @@ def load_config(path: str) -> TrainConfig:
         bad = set(est) - _ESTIMATOR_KEYS
         if bad:
             raise ConfigError(f"unknown estimator keys: {sorted(bad)}")
+        _check_types(est, _ESTIMATOR_TYPES, "estimator key")
         # mesh_mode names the method; the estimator object only tunes it.
         mode = kwargs.get("mesh_mode")
         if mode in ESTIMATOR_KINDS and est.get("kind", mode) != mode:
@@ -54,10 +87,7 @@ def load_config(path: str) -> TrainConfig:
     for key in ("train_alphas", "test_alphas"):
         if key in kwargs:
             kwargs[key] = tuple(float(a) for a in kwargs[key])
-    try:
-        return TrainConfig(**kwargs)
-    except TypeError as err:
-        raise ConfigError(f"bad config value: {err}") from None
+    return TrainConfig(**kwargs)
 
 
 def apply_overrides(config: TrainConfig, args: argparse.Namespace) -> TrainConfig:

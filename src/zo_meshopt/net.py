@@ -1,12 +1,16 @@
 """Per-node correction network: a small tanh MLP with hand-written gradients.
 
-Everything is float64 and batch-first: features are (n, d0), predictions are
-(n, d_out).  backward differentiates sum(cotangent * predictions) exactly.
+Everything is float64.  The API is batch-first: features are (n, d0),
+predictions are (n, d_out) and input gradients are (n, d0).  backward
+differentiates sum(cotangent * predictions) exactly.
 
-Every pass writes into a ``Workspace``: one activation, ``dz`` and
-input-gradient buffer per layer, sized for n rows, so a training run that
-keeps one workspace allocates no per-layer array per step.  Aliasing rule:
-the predictions ``forward`` returns, and the input gradients ``backward``
+Every pass writes into a ``Workspace`` whose buffers are feature-major: one
+C-contiguous (width, n) array per layer, so the bias adds, the output
+layer's outer product and the bias-gradient sums run along contiguous rows.
+The batch-first arrays the API takes and returns are transposed views of
+those buffers, made once per workspace, and a training run that keeps one
+workspace allocates no per-layer array per step.  Aliasing rule: the
+predictions ``forward`` returns, and the input gradients ``backward``
 returns, are views into the workspace and live only until its next
 ``forward``; copy them to keep them.  ``backward`` refuses a cache whose
 workspace a later ``forward`` has refilled.  ``forward`` without a workspace
@@ -59,29 +63,35 @@ class MlpGrads:
 class Workspace:
     """Reusable float64 buffers for forward and backward on n rows.
 
-    Per layer l (0-based, n_layers of them): ``activations[l]`` is
-    (n, dims[l + 1]), ``input_grads[l]`` is (n, dims[l]), and every hidden
-    layer has a ``dz`` buffer (n, dims[l + 1]); the output layer's dz is
-    the cotangent itself.  ``features`` is an (n, dims[0]) buffer a caller
-    may build its inputs in.  ``generation`` counts the forwards written.
+    Feature-major buffers, each C-contiguous: ``features_t`` (dims[0], n),
+    ``activations_t[l]`` (dims[l + 1], n) per layer l, ``input_grads_t``
+    (dims[0], n), and ``dz_t`` and ``g_t``, each (widest hidden layer, n),
+    in which backward builds a hidden layer's dz and the gradient it passes
+    down; the output layer's dz is the cotangent itself.  ``features``,
+    ``activations`` and ``input_grads`` are their batch-first transposed
+    views; a caller may build its (n, dims[0]) inputs in ``features``.
+    ``generation`` counts the forwards written.
     """
 
     def __init__(self, layer_dims, n: int):
         dims = tuple(int(d) for d in layer_dims)
         self.layer_dims = dims
         self.n = int(n)
-        self.features = np.empty((n, dims[0]))
-        self.activations = tuple(np.empty((n, d)) for d in dims[1:])
-        self.dz = tuple(np.empty((n, d)) for d in dims[1:-1])
-        self.input_grads = tuple(np.empty((n, d)) for d in dims[:-1])
+        hidden = max(dims[1:-1], default=0)
+        self.features_t = np.empty((dims[0], n))
+        self.activations_t = tuple(np.empty((d, n)) for d in dims[1:])
+        self.input_grads_t = np.empty((dims[0], n))
+        self.dz_t = np.empty((hidden, n))
+        self.g_t = np.empty((hidden, n))
+        self.features = self.features_t.T
+        self.activations = tuple(a.T for a in self.activations_t)
+        self.input_grads = self.input_grads_t.T
         self.generation = 0
 
 
 @dataclass(frozen=True)
 class ForwardCache:
     params: MlpParams
-    inputs: np.ndarray
-    activations: tuple[np.ndarray, ...]
     workspace: Workspace
     generation: int
 
@@ -107,7 +117,9 @@ def forward(
     """tanh hidden layers, identity output; returns (predictions, cache).
 
     Writes every layer into ``out`` (a fresh workspace when None); the
-    returned predictions are ``out.activations[-1]``.
+    returned predictions are ``out.activations[-1]``.  Features not built
+    in ``out.features`` are copied there first, so the results do not
+    depend on the caller's memory layout.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
@@ -121,15 +133,17 @@ def forward(
             f"workspace holds dims {out.layer_dims} for {out.n} rows, "
             f"forward needs {params.layer_dims} for {x.shape[0]}"
         )
+    if x is not out.features:
+        np.copyto(out.features, x)
     out.generation += 1
     last = len(params.weights) - 1
-    a = x
+    a = out.features_t
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = np.matmul(a, w.T, out=out.activations[l])
-        a += b
+        a = np.matmul(w, a, out=out.activations_t[l])
+        a += b[:, None]
         if l != last:
             np.tanh(a, out=a)
-    return a, ForwardCache(params, x, out.activations, out, out.generation)
+    return out.activations[-1], ForwardCache(params, out, out.generation)
 
 
 def backward(
@@ -138,7 +152,7 @@ def backward(
     """Reverse-mode gradients of sum(cotangent * predictions).
 
     Returns parameter gradients and per-row input gradients (n, d0); the
-    latter are ``cache.workspace.input_grads[0]``.
+    latter are ``cache.workspace.input_grads``.
     """
     if cache.params is not params:
         raise ValueError("cache was produced by a different forward pass")
@@ -146,33 +160,34 @@ def backward(
     if cache.generation != ws.generation:
         raise ValueError("cache's workspace was refilled by a later forward pass")
     cot = np.asarray(prediction_cotangent, dtype=float)
-    if cot.shape != cache.activations[-1].shape:
+    if cot.shape != ws.activations[-1].shape:
         raise ValueError(
             f"cotangent shape {cot.shape} does not match predictions "
-            f"{cache.activations[-1].shape}"
+            f"{ws.activations[-1].shape}"
         )
     n_layers = len(params.weights)
     w_grads: list[np.ndarray] = [np.empty(0)] * n_layers
     b_grads: list[np.ndarray] = [np.empty(0)] * n_layers
-    g = cot
+    dz = cot.T
     for l in reversed(range(n_layers)):
-        if l == n_layers - 1:
-            dz = g
-        else:
-            # g * (1 - act**2), built in place in the layer's dz buffer.
-            dz = np.square(cache.activations[l], out=ws.dz[l])
+        w = params.weights[l]
+        if l != n_layers - 1:
+            # (1 - act**2) * g, built in place in the dz buffer.
+            act = ws.activations_t[l]
+            dz = np.square(act, out=ws.dz_t[: act.shape[0]])
             np.subtract(1.0, dz, out=dz)
             dz *= g
-        a_prev = cache.inputs if l == 0 else cache.activations[l - 1]
-        w_grads[l] = dz.T @ a_prev
-        b_grads[l] = dz.sum(axis=0)
-        if dz.shape[1] == 1:
-            # An (n, 1) by (1, w) product is an outer product: one rounding
+        a_prev = ws.features_t if l == 0 else ws.activations_t[l - 1]
+        w_grads[l] = dz @ a_prev.T
+        b_grads[l] = dz.sum(axis=1)
+        g_out = ws.input_grads_t if l == 0 else ws.g_t[: w.shape[1]]
+        if dz.shape[0] == 1:
+            # A (w, 1) by (1, n) product is an outer product: one rounding
             # per entry either way, and multiply skips the matmul machinery.
-            g = np.multiply(dz, params.weights[l], out=ws.input_grads[l])
+            g = np.multiply(w.T, dz, out=g_out)
         else:
-            g = np.matmul(dz, params.weights[l], out=ws.input_grads[l])
-    return MlpGrads(tuple(w_grads), tuple(b_grads)), g
+            g = np.matmul(w.T, dz, out=g_out)
+    return MlpGrads(tuple(w_grads), tuple(b_grads)), ws.input_grads
 
 
 def flatten(obj) -> np.ndarray:

@@ -34,8 +34,13 @@ def init_adam(
 ) -> AdamState:
     if n < 1:
         raise ValueError(f"parameter count must be positive, got {n}")
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not np.isfinite(lr) or lr <= 0:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0 <= beta < 1:
+            raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+    if not np.isfinite(eps) or eps <= 0:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     return AdamState(np.zeros(n), np.zeros(n), 0, lr, beta1, beta2, eps)
 
 

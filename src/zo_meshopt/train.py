@@ -304,15 +304,18 @@ def declared_evals(config: TrainConfig, epochs_done: int | None = None) -> int:
     Counts the one-off fine ground-truth solves, the per-epoch train forward
     and test evaluation solves, and the per-scenario mesh-gradient solves in
     joint epochs.  train_run's instrumented counter must match this exactly.
+    Raises ValueError unless 0 <= epochs_done <= config.epochs.
     """
     done = config.epochs if epochs_done is None else epochs_done
+    if not 0 <= done <= config.epochs:
+        raise ValueError(f"epochs_done={done} must lie in [0, epochs={config.epochs}]")
     if done == 0:
         return 0
     n_train = len(config.train_alphas)
     n_test = len(config.test_alphas)
     total = n_train + n_test  # fine ground-truth solves, all during epoch 0
     total += done * (n_train + n_test)
-    joint = max(0, min(done, config.epochs) - config.warm_start_epochs)
+    joint = max(0, done - config.warm_start_epochs)
     if config.mesh_mode == "exact":
         per_scenario = 2 * config.mesh_dim  # 2 solves per mesh parameter
     elif config.mesh_mode in ESTIMATOR_KINDS:

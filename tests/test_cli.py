@@ -129,6 +129,24 @@ def test_non_finite_learning_rate_exits_two_before_training(tmp_path, capsys, fi
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"train_alphas": 0.9}, "train_alphas"),
+    ({"train_alphas": ["x"]}, "train_alphas"),
+    ({"test_alphas": [1.0, True]}, "test_alphas"),
+    ({"coarse_n": 4.5}, "coarse_n"),
+    ({"epochs": "2"}, "epochs"),
+    ({"mesh_lr": [1e-3]}, "mesh_lr"),
+    ({"mesh_mode": "gaussian", "estimator": {"b": "8"}}, "b"),
+    ({"mesh_mode": "gaussian", "estimator": {"mu": None}}, "mu"),
+])
+def test_config_value_of_wrong_type_exits_two(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_estimator_kind_contradicting_mesh_mode_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", mesh_mode="gaussian",
                        estimator={"kind": "gauss_coord", "d": 1})

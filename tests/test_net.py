@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from zo_meshopt.errors import ConfigError
 from zo_meshopt.net import (
+    DEFAULT_DIMS,
     Workspace,
     flatten,
     forward,
@@ -156,24 +157,26 @@ def test_linear_region_gradient_exact():
 
 
 def fresh_passes(params, x, cot):
-    """Forward and backward with a fresh array per layer and per product."""
+    """Forward and backward in the workspace's feature-major operation
+    order, with a fresh array per layer and per product."""
     last = len(params.weights) - 1
+    x_t = np.ascontiguousarray(x.T)
     acts = []
-    a = x
+    a = x_t
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w.T
-        a += b
+        a = w @ a
+        a += b[:, None]
         if l != last:
             np.tanh(a, out=a)
         acts.append(a)
-    g = cot
+    g = cot.T
     w_grads, b_grads = [None] * (last + 1), [None] * (last + 1)
     for l in reversed(range(last + 1)):
         dz = g if l == last else (1.0 - np.square(acts[l])) * g
-        w_grads[l] = dz.T @ (x if l == 0 else acts[l - 1])
-        b_grads[l] = dz.sum(axis=0)
-        g = dz @ params.weights[l]
-    return acts[-1], w_grads, b_grads, g
+        w_grads[l] = dz @ (x_t if l == 0 else acts[l - 1]).T
+        b_grads[l] = dz.sum(axis=1)
+        g = params.weights[l].T @ dz
+    return acts[-1].T, w_grads, b_grads, g.T
 
 
 @pytest.mark.parametrize("n", [7, 1089, 16641])
@@ -189,6 +192,7 @@ def test_reused_workspace_matches_fresh_allocation_bitwise(n):
         grads, input_grads = backward(params, cache, cot)
         ref_pred, ref_w, ref_b, ref_g = fresh_passes(params, x, cot)
         assert pred is ws.activations[-1]
+        assert input_grads is ws.input_grads
         assert np.array_equal(pred, ref_pred)
         assert np.array_equal(input_grads, ref_g)
         for got, want in zip(grads.weights + grads.biases, tuple(ref_w) + tuple(ref_b)):
@@ -196,6 +200,46 @@ def test_reused_workspace_matches_fresh_allocation_bitwise(n):
         own_pred, own_cache = forward(params, x)
         assert own_cache.workspace is not ws
         assert np.array_equal(own_pred, ref_pred)
+
+
+def test_features_built_in_the_workspace_match_copied_features_bitwise():
+    params = init_params(DEFAULT_DIMS, seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((50, 4))
+    cot = rng.standard_normal((50, 1))
+    ws = Workspace(DEFAULT_DIMS, 50)
+    ws.features[...] = x
+    pred, cache = forward(params, ws.features, ws)
+    grads, input_grads = backward(params, cache, cot)
+    ref_pred, ref_w, ref_b, ref_g = fresh_passes(params, x, cot)
+    assert np.array_equal(pred, ref_pred)
+    assert np.array_equal(input_grads, ref_g)
+    for got, want in zip(grads.weights + grads.biases, tuple(ref_w) + tuple(ref_b)):
+        assert np.array_equal(got, want)
+
+
+def _float64_held(ws):
+    """Float64 values in the distinct buffers a workspace owns."""
+    arrays = []
+    for value in vars(ws).values():
+        arrays.extend(value if isinstance(value, tuple) else [value])
+    bases = {}
+    for arr in arrays:
+        if isinstance(arr, np.ndarray):
+            base = arr if arr.base is None else arr.base
+            assert base.dtype == np.float64
+            bases[id(base)] = base
+    return sum(base.size for base in bases.values())
+
+
+@pytest.mark.parametrize("n", [1, 1089])
+def test_workspace_holds_no_more_than_the_batch_first_layout(n):
+    # The batch-first layout held one features, activation, dz and
+    # input-gradient buffer per layer: 4 + 65 + 64 + 68 = 201 values a row.
+    ws = Workspace(DEFAULT_DIMS, n)
+    assert _float64_held(ws) <= 201 * n
+    for buf in (ws.features_t, *ws.activations_t, ws.input_grads_t, ws.dz_t, ws.g_t):
+        assert buf.flags.c_contiguous
 
 
 def test_backward_rejects_cache_of_refilled_workspace():

@@ -90,6 +90,30 @@ def test_init_rejects_bad_args():
         init_adam(3, lr=0.0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("lr", float("nan")),
+    ("lr", float("inf")),
+    ("lr", -1e-3),
+    ("beta1", 1.0),
+    ("beta1", -0.1),
+    ("beta1", float("nan")),
+    ("beta2", 1.0),
+    ("beta2", -1e-3),
+    ("beta2", float("nan")),
+    ("eps", 0.0),
+    ("eps", -1e-8),
+    ("eps", float("nan")),
+])
+def test_init_rejects_bad_hyperparameters(name, value):
+    with pytest.raises(ValueError, match=name):
+        init_adam(3, **{"lr": 0.1, name: value})
+
+
+def test_init_accepts_zero_betas():
+    state = init_adam(3, lr=0.1, beta1=0.0, beta2=0.0)
+    assert (state.beta1, state.beta2) == (0.0, 0.0)
+
+
 def test_separate_states_independent():
     s1 = init_adam(2, lr=0.1)
     s2 = init_adam(2, lr=0.001)

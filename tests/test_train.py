@@ -261,6 +261,15 @@ def test_budget_matches_declared_and_counter(tmp_path, mode, est, expect_extra):
         assert m.n_solver_evals == declared_evals(config, epochs_done=m.epoch + 1)
 
 
+@pytest.mark.parametrize("epochs_done", [-1, 11, 12])
+def test_declared_evals_rejects_epochs_outside_the_run(epochs_done):
+    config = tiny_config(mesh_mode="exact", epochs=10, warm_start_epochs=2)
+    assert declared_evals(config, 10) == declared_evals(config)
+    assert declared_evals(config, 0) == 0
+    with pytest.raises(ValueError, match="epochs_done"):
+        declared_evals(config, epochs_done)
+
+
 def test_metrics_csv_deterministic_rerun(tmp_path):
     config = tiny_config(mesh_mode="coordinate",
                          estimator=EstimatorSpec(kind="coordinate", b=1, seed=0),
