@@ -184,11 +184,14 @@ def test_reused_workspace_matches_fresh_allocation_bitwise(n):
     dims = (4, 32, 32, 1)
     rng = np.random.default_rng(n)
     ws = Workspace(dims, n)
-    for seed in (0, 1):
+    # Seed 1 builds its features in the workspace, as training does.
+    for seed, built_in_place in ((0, False), (1, True)):
         params = init_params(dims, seed=seed)
         x = rng.standard_normal((n, 4))
         cot = rng.standard_normal((n, 1))
-        pred, cache = forward(params, x, ws)
+        if built_in_place:
+            ws.features[...] = x
+        pred, cache = forward(params, ws.features if built_in_place else x, ws)
         grads, input_grads = backward(params, cache, cot)
         ref_pred, ref_w, ref_b, ref_g = fresh_passes(params, x, cot)
         assert pred is ws.activations[-1]
@@ -200,22 +203,6 @@ def test_reused_workspace_matches_fresh_allocation_bitwise(n):
         own_pred, own_cache = forward(params, x)
         assert own_cache.workspace is not ws
         assert np.array_equal(own_pred, ref_pred)
-
-
-def test_features_built_in_the_workspace_match_copied_features_bitwise():
-    params = init_params(DEFAULT_DIMS, seed=3)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((50, 4))
-    cot = rng.standard_normal((50, 1))
-    ws = Workspace(DEFAULT_DIMS, 50)
-    ws.features[...] = x
-    pred, cache = forward(params, ws.features, ws)
-    grads, input_grads = backward(params, cache, cot)
-    ref_pred, ref_w, ref_b, ref_g = fresh_passes(params, x, cot)
-    assert np.array_equal(pred, ref_pred)
-    assert np.array_equal(input_grads, ref_g)
-    for got, want in zip(grads.weights + grads.biases, tuple(ref_w) + tuple(ref_b)):
-        assert np.array_equal(got, want)
 
 
 def _float64_held(ws):
