@@ -90,31 +90,57 @@ def load_config(path: str) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+# Each train flag's dest and the field it sets: a TrainConfig field, or an
+# EstimatorSpec field under "estimator.".
+_FLAG_FIELDS = {
+    "mesh_mode": "mesh_mode",
+    "epochs": "epochs",
+    "warm_start": "warm_start_epochs",
+    "seed": "seed",
+    "out": "out_dir",
+    "mu": "estimator.mu",
+    "b": "estimator.b",
+    "d": "estimator.d",
+}
+
+
 def apply_overrides(config: TrainConfig, args: argparse.Namespace) -> TrainConfig:
-    est = config.estimator
-    if getattr(args, "mu", None) is not None:
-        est = replace(est, mu=args.mu)
-    if getattr(args, "b", None) is not None:
-        est = replace(est, b=args.b)
-    if getattr(args, "d", None) is not None:
-        est = replace(est, d=args.d)
-    updates: dict = {"estimator": est}
-    if getattr(args, "mesh_mode", None) is not None:
-        updates["mesh_mode"] = args.mesh_mode
-    if getattr(args, "epochs", None) is not None:
-        updates["epochs"] = args.epochs
-    if getattr(args, "warm_start", None) is not None:
-        updates["warm_start_epochs"] = args.warm_start
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = args.out
-    return replace(config, **updates)
+    """config with every train flag that was given in args put in."""
+    updates: dict = {}
+    est: dict = {}
+    for flag, name in _FLAG_FIELDS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            prefix, _, key = name.rpartition(".")
+            (est if prefix else updates)[key] = value
+    return replace(config, estimator=replace(config.estimator, **est), **updates)
+
+
+def _check_test_outputs(config: TrainConfig) -> None:
+    """Each test alpha writes pred/truth CSVs named by its {alpha:g}; two
+    alphas with one name would overwrite each other's files."""
+    seen: dict[str, float] = {}
+    for alpha in config.test_alphas:
+        name = f"{alpha:g}"
+        if name in seen:
+            raise ConfigError(
+                f"test alphas {seen[name]!r} and {alpha!r} both write "
+                f"pred_alpha_{name}.csv; they must differ in their first 6 significant digits"
+            )
+        seen[name] = alpha
+
+
+def _final(metrics: list, name: str) -> str:
+    """The summary of a cell's last epoch, or of a run with none."""
+    if not metrics:
+        return "no epochs run"
+    return f"final {name}={getattr(metrics[-1], name):.6e}"
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = apply_overrides(load_config(args.config), args)
     config.validate()
+    _check_test_outputs(config)
     metrics, state = train_run(config)
     out = Path(config.out_dir)
     for alpha, pred, truth in state.test_outputs:
@@ -134,41 +160,40 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Train every cell of a preset grid.  Every cell's config is built and
+    validated before the first cell trains."""
     config = load_config(args.config)
     config.validate()
     out = Path(config.out_dir)
     if args.what == "scales":
         scales = [(c, config.fine_n) for c in _SCALE_COARSE]
-        results = scale_sweep(config, scales)
-        for (coarse_n, fine_n), metrics in results:
-            print(
-                f"scale {coarse_n}x{fine_n}: final train_loss={metrics[-1].train_loss:.6e}"
+        for (coarse_n, fine_n), metrics in scale_sweep(config, scales):
+            print(f"scale {coarse_n}x{fine_n}: {_final(metrics, 'train_loss')}")
+        return 0
+    cells: dict[tuple[int, int], TrainConfig] = {}
+    for b, d_asked in _BD_GRID:
+        cfg = replace(
+            config,
+            mesh_mode="gauss_coord",
+            estimator=replace(config.estimator, b=b, d=d_asked),
+        )
+        # TrainConfig caps d at the mesh dimension: train each cell that
+        # runs once, under the d it runs with.
+        d = cfg.estimator.d
+        cells.setdefault((b, d), replace(cfg, out_dir=str(out / f"bd_b{b}_d{d}")))
+    for cfg in cells.values():
+        cfg.validate()
+    rows = ["b,d,epoch,train_loss,test_rmse,n_solver_evals"]
+    for (b, d), cfg in cells.items():
+        metrics, _ = train_run(cfg)
+        for m in metrics:
+            rows.append(
+                f"{b},{d},{m.epoch},{float(m.train_loss)!r},"
+                f"{float(m.test_rmse)!r},{m.n_solver_evals}"
             )
-    else:
-        rows = ["b,d,epoch,train_loss,test_rmse,n_solver_evals"]
-        done = set()
-        for b, d_asked in _BD_GRID:
-            cfg = replace(
-                config,
-                mesh_mode="gauss_coord",
-                estimator=replace(config.estimator, b=b, d=d_asked),
-            )
-            # TrainConfig caps d at the mesh dimension: train each cell that
-            # runs once, under the d it runs with.
-            d = cfg.estimator.d
-            if (b, d) in done:
-                continue
-            done.add((b, d))
-            cfg = replace(cfg, out_dir=str(out / f"bd_b{b}_d{d}"))
-            metrics, _ = train_run(cfg)
-            for m in metrics:
-                rows.append(
-                    f"{b},{d},{m.epoch},{float(m.train_loss)!r},"
-                    f"{float(m.test_rmse)!r},{m.n_solver_evals}"
-                )
-            print(f"b={b} d={d}: final test_rmse={metrics[-1].test_rmse:.6e}")
-        out.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(out / "bd_sweep.csv", "\n".join(rows) + "\n")
+        print(f"b={b} d={d}: {_final(metrics, 'test_rmse')}")
+    out.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(out / "bd_sweep.csv", "\n".join(rows) + "\n")
     return 0
 
 

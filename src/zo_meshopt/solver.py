@@ -27,20 +27,24 @@ central-difference perturbation of ``exact_mesh_vjp`` moves one line, so
 its other axis is the base mesh's.  Factorizations are therefore kept in a
 least-recently-used cache keyed on the bytes of the lines (see
 ``_AXIS_CACHE_SIZE`` for the bound), and every cached array is read-only.
-A zeroth-order perturbation moves every line, so both axes of each
-perturbed mesh are new.  ``make_evaluate`` and the oracle therefore
-factorize all the missing axes of a block of meshes before solving any of
-them, in one stacked ``eigh`` per line count; a stacked ``eigh`` runs the
-same LAPACK call on each matrix, so every axis is bit for bit what it would
-be alone, and a single lookup that misses is the stack of one.  The cache
-saves eigendecompositions, not solves: each call still builds its source,
-solves, checks its residual and returns its own report, so a caller that
-counts solver calls counts exactly what it did before.
+Both gradient methods reach the solver through one routine,
+``_solve_block``: the estimators' ``make_evaluate`` hands it each projected
+block of b perturbed meshes, and the central-difference oracle
+``exact_mesh_vjp`` its 2 * D meshes.  A zeroth-order perturbation moves
+every line, so both axes of each perturbed mesh are new; ``_solve_block``
+therefore factorizes all the missing axes of its block before solving any
+of them, in one stacked ``eigh`` per line count.  A stacked ``eigh`` runs
+the same LAPACK call on each matrix, so every axis is bit for bit what it
+would be alone, and a single lookup that misses is the stack of one.  Then
+each mesh of the block is one ``solve`` call.  The cache saves
+eigendecompositions, not solves: each call still builds its source, solves,
+checks its residual and returns its own report, so a caller that counts
+solver calls counts one per mesh.
 
 The oracle's perturbed meshes depend only on the base mesh and the step h,
 not on the scenario, so ``exact_mesh_vjp`` projects them once per base mesh
 (a one-entry memo keyed like the axis cache) and every scenario alpha of an
-epoch solves on the same 2 * D meshes.
+epoch solves the same 2 * D meshes as one block.
 """
 
 from __future__ import annotations
@@ -48,13 +52,12 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SolverError
 from .grid import Field, ScenarioParams, TensorMesh, mesh_to_params, params_to_meshes
-from .runtime import run_ordered
 
 RESIDUAL_TOL = 1e-10
 
@@ -147,21 +150,6 @@ def _axis(lines: np.ndarray) -> _Axis:
     return axis
 
 
-def _cache_axes(meshes: Iterable[TensorMesh]) -> None:
-    """Factorize every axis of meshes that is not cached yet, so that each
-    of their solves finds both its axes in the cache."""
-    missing = []
-    for key in dict.fromkeys(
-        lines.tobytes() for mesh in meshes for lines in (mesh.x_lines, mesh.y_lines)
-    ):
-        if key in _AXES:
-            _AXES.move_to_end(key)
-        else:
-            missing.append(key)
-    if missing:
-        _store(missing)
-
-
 def _apply_operator(ax: _Axis, ay: _Axis, w: np.ndarray) -> np.ndarray:
     """The 5-point negative Laplacian on an (ny - 2, nx - 2) interior grid."""
     return w @ ax.t.T + ay.t @ w
@@ -220,6 +208,31 @@ def solve_manufactured(mesh: TensorMesh, params: ScenarioParams) -> SolveReport:
     )
 
 
+def _solve_block(
+    meshes: Sequence[TensorMesh],
+    params: ScenarioParams,
+    solve: Callable[[TensorMesh, ScenarioParams], SolveReport],
+) -> np.ndarray:
+    """The (b, n) solved field values of a block of b meshes with n nodes
+    each: every axis of the block that is not cached yet is factorized
+    first, in one stacked eigh per line count, then each mesh is one counted
+    ``solve`` call.  The only place that solves a block."""
+    missing = []
+    for key in dict.fromkeys(
+        lines.tobytes() for mesh in meshes for lines in (mesh.x_lines, mesh.y_lines)
+    ):
+        if key in _AXES:
+            _AXES.move_to_end(key)
+        else:
+            missing.append(key)
+    if missing:
+        _store(missing)
+    out = np.empty((len(meshes), meshes[0].n_nodes))
+    for row, mesh in zip(out, meshes):
+        row[:] = solve(mesh, params).field.values
+    return out
+
+
 def make_evaluate(
     template: TensorMesh,
     params: ScenarioParams,
@@ -230,17 +243,12 @@ def make_evaluate(
     the (b, n) block of their solved field values out.
 
     This is the only view of the solver that gradient-estimation code gets.
-    The block is projected in one pass and its new axes are factorized
-    together; each row is then one ``solve`` call.
+    The block is projected in one pass and handed to ``_solve_block``, so
+    each row is one ``solve`` call.
     """
 
     def evaluate(p: np.ndarray) -> np.ndarray:
-        meshes = params_to_meshes(template, p)
-        _cache_axes(meshes)
-        out = np.empty((len(meshes), template.n_nodes))
-        for row, mesh in zip(out, meshes):
-            row[:] = solve(mesh, params).field.values
-        return out
+        return _solve_block(params_to_meshes(template, p), params, solve)
 
     return evaluate
 
@@ -248,7 +256,7 @@ def make_evaluate(
 def _perturbed_meshes(mesh: TensorMesh, h: float) -> tuple[TensorMesh, ...]:
     """The oracle's 2 * D meshes p0 + h e_k, p0 - h e_k, k = 0 .. D - 1, in
     that order, shared by every scenario solved on this mesh; projected in
-    one block, with their new axes factorized, once per base mesh."""
+    one block once per base mesh."""
     return _perturbed_meshes_of(mesh.x_lines.tobytes(), mesh.y_lines.tobytes(), mesh.s_min, h)
 
 
@@ -262,9 +270,7 @@ def _perturbed_meshes_of(
     k = np.arange(p0.size)
     steps[2 * k, k] = h
     steps[2 * k + 1, k] = -h
-    meshes = tuple(params_to_meshes(mesh, p0 + steps))
-    _cache_axes(meshes)
-    return meshes
+    return tuple(params_to_meshes(mesh, p0 + steps))
 
 
 def exact_mesh_vjp(
@@ -280,18 +286,18 @@ def exact_mesh_vjp(
     Component k is <v, (O(p + h e_k) - O(p - h e_k))> / (2 h) where O maps
     mesh parameters to solved field values.  Costs 2 * D solves, each one
     counted solver call, so ``n_solver_evals`` grows by 2 * D per call.  The
-    perturbed meshes are projected once per base mesh and step and reused
-    for every scenario, and their new axes are factorized together with
-    them.  Each moves one line: it brings that one new axis and reuses the
-    base mesh's other axis, and the same 2 * D + 2 axes serve every
-    scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart
-    from the estimator code, which must only ever see make_evaluate.
+    perturbed meshes are projected once per base mesh and step, reused for
+    every scenario, and solved as one block by ``_solve_block``, the
+    estimators' path too.  Each moves one line: it brings that one new axis
+    and reuses the base mesh's other axis, and the same 2 * D + 2 axes serve
+    every scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart from
+    the estimator code, which must only ever see make_evaluate.
     """
     if v.mesh_shape != mesh.shape:
         raise ValueError(f"cotangent shape {v.mesh_shape} does not match mesh {mesh.shape}")
     if h <= 0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    fields = run_ordered(lambda m: solve(m, params).field.values, _perturbed_meshes(mesh, h))
+    fields = _solve_block(_perturbed_meshes(mesh, h), params, solve)
     grad = np.empty(mesh.n_params)
     for k in range(grad.size):
         grad[k] = float(v.values @ (fields[2 * k] - fields[2 * k + 1])) / (2.0 * h)

@@ -288,9 +288,13 @@ def rmse(pred: Field, truth: Field) -> float:
 
 
 def initial_coarse_mesh(config: TrainConfig) -> TensorMesh:
-    """Down-sample the uniform fine mesh when the stride divides, else start
-    from the uniform coarse mesh directly (the two agree whenever both are
-    defined)."""
+    """Down-sample the uniform fine mesh when the stride divides, so every
+    coarse line is exactly a fine line, else start from the uniform coarse
+    mesh.  The two need not agree where both are defined: ``np.linspace``
+    rounds each mesh's lines on its own, so for some divisible sizes (fine
+    16, coarse 6 the smallest) a down-sampled line differs from the uniform
+    coarse line in its last bits.  At strides 4 and 8 from fine 33, 65 and
+    129 (desk and the bench workloads) they agree bit for bit."""
     if (config.fine_n - 1) % (config.coarse_n - 1) == 0:
         return init_coarse_from_fine(
             config.fine_n, config.fine_n, config.coarse_n, config.coarse_n
@@ -498,20 +502,21 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
 def scale_sweep(
     config: TrainConfig, scales: list[tuple[int, int]]
 ) -> list[tuple[tuple[int, int], list[EpochMetrics]]]:
-    """Train at several (coarse_n, fine_n) resolutions with a shared seed."""
+    """Train at several (coarse_n, fine_n) resolutions with a shared seed.
+    Every resolution's config is validated before the first one trains."""
     if not scales:
         raise ConfigError("scales must not be empty")
     out = Path(config.out_dir)
+    cfgs = [
+        replace(config, coarse_n=c, fine_n=f, out_dir=str(out / f"scale_{c}x{f}"))
+        for c, f in scales
+    ]
+    for cfg in cfgs:
+        cfg.validate()
     out.mkdir(parents=True, exist_ok=True)
     results = []
     rows = ["coarse_n,fine_n," + METRICS_HEADER]
-    for coarse_n, fine_n in scales:
-        cfg = replace(
-            config,
-            coarse_n=coarse_n,
-            fine_n=fine_n,
-            out_dir=str(out / f"scale_{coarse_n}x{fine_n}"),
-        )
+    for (coarse_n, fine_n), cfg in zip(scales, cfgs):
         metrics, _ = train_run(cfg)
         results.append(((coarse_n, fine_n), metrics))
         for m in metrics:

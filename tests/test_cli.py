@@ -250,6 +250,39 @@ def test_sweep_bd_trains_each_distinct_cell_once(tmp_path):
         assert (ckpt["config"]["estimator"]["b"], ckpt["config"]["estimator"]["d"]) == (b, d)
 
 
+def test_sweep_scales_checks_every_cell_before_training(tmp_path, capsys, monkeypatch):
+    """At fine 9 the coarse-9 cell is invalid: the sweep exits 2 before the
+    coarse-5 and coarse-7 cells train."""
+    trained = []
+    monkeypatch.setattr(train_mod, "train_run", lambda cfg: trained.append(cfg) or ([], None))
+    cfg = write_config(tmp_path / "c.json", fine_n=9, out_dir=str(tmp_path / "sw"))
+    assert cli.main(["sweep", "scales", "--config", str(cfg)]) == 2
+    assert "coarse_n=9 must be smaller than fine_n=9" in capsys.readouterr().err
+    assert trained == []
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("what,csv,header", [
+    ("scales", "scales.csv", "coarse_n,fine_n," + train_mod.METRICS_HEADER),
+    ("bd", "bd_sweep.csv", "b,d,epoch,train_loss,test_rmse,n_solver_evals"),
+], ids=["scales", "bd"])
+def test_sweep_of_zero_epochs_writes_only_the_header(tmp_path, capsys, what, csv, header):
+    cfg = write_config(tmp_path / "c.json", fine_n=17, epochs=0, warm_start_epochs=0,
+                       out_dir=str(tmp_path / "sw"))
+    assert cli.main(["sweep", what, "--config", str(cfg)]) == 0
+    assert (tmp_path / "sw" / csv).read_text().splitlines() == [header]
+    assert "no epochs run" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alphas", [[0.9123451, 0.9123452], [1.0, 1.0]])
+def test_test_alphas_sharing_a_file_name_exit_two(tmp_path, capsys, alphas):
+    cfg = write_config(tmp_path / "c.json", test_alphas=alphas)
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(a) in err for a in alphas) and "pred_alpha_" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_entry_point_installed():
     import subprocess
     proc = subprocess.run(["zo-meshopt", "--help"], capture_output=True, text=True)

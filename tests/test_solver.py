@@ -8,6 +8,7 @@ from zo_meshopt.errors import SolverError
 from zo_meshopt.grid import Field, ScenarioParams, TensorMesh, uniform_mesh
 from zo_meshopt.solver import (
     RESIDUAL_TOL,
+    SolveReport,
     exact_mesh_vjp,
     make_evaluate,
     solve_manufactured,
@@ -285,9 +286,10 @@ def _spread_lines(rng, n):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(3, 33), min_size=2, max_size=7), st.integers(0, 2**32 - 1))
 def test_stacked_factorizations_equal_one_axis_factorizations(counts, seed):
-    """Axes factorized in one stack, or through _cache_axes in a batch that
+    """Axes factorized in one stack, or by _solve_block for a block that
     repeats an axis and holds an already-cached one, are bit for bit the
-    one-axis factorizations, with the same memory layout, all read-only."""
+    one-axis factorizations, with the same memory layout, all read-only;
+    _solve_block factorizes them all before its first solve call."""
     rng = np.random.default_rng(seed)
     axes = [_spread_lines(rng, n) for n in counts]
     same = [lines for lines in axes if lines.size == axes[0].size]
@@ -297,8 +299,19 @@ def test_stacked_factorizations_equal_one_axis_factorizations(counts, seed):
     solver_mod._AXES.clear()
     kept = solver_mod._axis(axes[0])
     meshes = [TensorMesh(x, y) for x, y in zip(axes, axes[1:] + axes[:1])]
-    solver_mod._cache_axes(meshes)
-    assert len(solver_mod._AXES) == len({lines.tobytes() for lines in axes})
+    n_axes = len({lines.tobytes() for lines in axes})
+    solved = []
+
+    # The meshes differ in shape, so this stand-in for the solver checks the
+    # cache and gives every row the first mesh's node count.
+    def solve(mesh, params):
+        assert len(solver_mod._AXES) == n_axes
+        solved.append(mesh)
+        return SolveReport(Field(np.zeros(meshes[0].n_nodes), meshes[0].shape), 0.0)
+
+    solver_mod._solve_block(meshes, ScenarioParams(1.0), solve)
+    assert solved == meshes
+    assert len(solver_mod._AXES) == n_axes
     assert solver_mod._axis(axes[0]) is kept
     for lines in axes:
         _assert_same_axis(solver_mod._axis(lines), solver_mod._factorize(lines[None])[0])

@@ -216,6 +216,16 @@ def test_initial_coarse_mesh_divisible_and_fallback():
     assert np.array_equal(m.x_lines, np.linspace(0.0, 1.0, 7))
 
 
+def test_down_sampled_initial_lines_are_fine_lines():
+    """At fine 16, coarse 6 the uniform coarse mesh has a line that no fine
+    line equals; the down-sampled start keeps exactly fine lines."""
+    m = initial_coarse_mesh(tiny_config(fine_n=16, coarse_n=6))
+    fine = uniform_mesh(16)
+    for lines, fine_lines in ((m.x_lines, fine.x_lines), (m.y_lines, fine.y_lines)):
+        assert lines.size == 6
+        assert np.isin(lines, fine_lines).all()
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(mesh_mode="other").validate()
