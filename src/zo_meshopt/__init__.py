@@ -32,7 +32,7 @@ from .train import (
     loss_forward,
     mesh_grad,
     rmse,
-    scale_sweep,
+    sweep,
     train_run,
 )
 from .zo import EstimatorSpec, estimator_stats, zo_grad_scalar, zo_vjp
@@ -67,9 +67,9 @@ __all__ = [
     "params_to_mesh",
     "read_field_csv",
     "rmse",
-    "scale_sweep",
     "solve_manufactured",
     "solve_poisson",
+    "sweep",
     "train_run",
     "uniform_mesh",
     "upsample_adjoint",

@@ -14,8 +14,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, SolverError
-from .grid import write_field_csv, write_text_atomic
-from .train import MESH_MODES, TrainConfig, scale_sweep, train_run
+from .grid import write_field_csv
+from .train import MESH_MODES, TrainConfig, sweep, train_run
 from .zo import ESTIMATOR_KINDS, EstimatorSpec
 
 _CONFIG_TYPES = typing.get_type_hints(TrainConfig)
@@ -24,6 +24,13 @@ _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorSpec)}
 _BD_GRID = [(b, d) for b in (1, 2, 4, 8) for d in (4, 8, 16)]
 _SCALE_COARSE = (5, 7, 9)
+# Each sweep preset's CSV name, label columns and the metric its summary
+# lines show.
+_SWEEPS = {
+    "scales": ("scales", ("coarse_n", "fine_n"), "train_loss"),
+    "bd": ("bd_sweep", ("b", "d"), "test_rmse"),
+    "modes": ("modes", ("mesh_mode",), "test_rmse"),
+}
 
 
 def _json_fits(value, hint) -> bool:
@@ -159,18 +166,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Train every cell of a preset grid.  Every cell's config is built and
-    validated before the first cell trains."""
-    config = load_config(args.config)
-    config.validate()
+def _sweep_cells(what: str, config: TrainConfig) -> dict[tuple, TrainConfig]:
+    """A preset's cells, keyed by their label values, each with its own
+    output directory under config.out_dir."""
     out = Path(config.out_dir)
-    if args.what == "scales":
-        scales = [(c, config.fine_n) for c in _SCALE_COARSE]
-        for (coarse_n, fine_n), metrics in scale_sweep(config, scales):
-            print(f"scale {coarse_n}x{fine_n}: {_final(metrics, 'train_loss')}")
-        return 0
-    cells: dict[tuple[int, int], TrainConfig] = {}
+    if what == "scales":
+        f = config.fine_n
+        return {(c, f): replace(config, coarse_n=c, out_dir=str(out / f"scale_{c}x{f}"))
+                for c in _SCALE_COARSE}
+    if what == "modes":
+        return {(m,): replace(config, mesh_mode=m, out_dir=str(out / f"mode_{m}"))
+                for m in MESH_MODES}
+    cells: dict[tuple, TrainConfig] = {}
     for b, d_asked in _BD_GRID:
         cfg = replace(
             config,
@@ -181,19 +188,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # runs once, under the d it runs with.
         d = cfg.estimator.d
         cells.setdefault((b, d), replace(cfg, out_dir=str(out / f"bd_b{b}_d{d}")))
-    for cfg in cells.values():
-        cfg.validate()
-    rows = ["b,d,epoch,train_loss,test_rmse,n_solver_evals"]
-    for (b, d), cfg in cells.items():
-        metrics, _ = train_run(cfg)
-        for m in metrics:
-            rows.append(
-                f"{b},{d},{m.epoch},{float(m.train_loss)!r},"
-                f"{float(m.test_rmse)!r},{m.n_solver_evals}"
-            )
-        print(f"b={b} d={d}: {_final(metrics, 'test_rmse')}")
-    out.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out / "bd_sweep.csv", "\n".join(rows) + "\n")
+    return cells
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Train every cell of a preset grid.  Every cell's config is built and
+    validated before the first cell trains."""
+    config = load_config(args.config)
+    config.validate()
+    name, labels, metric = _SWEEPS[args.what]
+    cells = _sweep_cells(args.what, config)
+    for key, metrics in sweep(config.out_dir, name, labels, cells):
+        cell = " ".join(f"{label}={value}" for label, value in zip(labels, key))
+        print(f"{cell}: {_final(metrics, metric)}")
     return 0
 
 
@@ -217,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train_p.set_defaults(func=cmd_train)
 
     sweep_p = sub.add_parser("sweep", help="run a preset experiment sweep")
-    sweep_p.add_argument("what", choices=("scales", "bd"))
+    sweep_p.add_argument("what", choices=tuple(_SWEEPS))
     sweep_p.add_argument("--config", required=True, help="JSON config file")
     sweep_p.set_defaults(func=cmd_sweep)
     return parser

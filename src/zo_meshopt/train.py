@@ -39,7 +39,6 @@ from .zo import ESTIMATOR_KINDS, EstimatorSpec, zo_vjp
 log = logging.getLogger(__name__)
 
 MESH_MODES = ("frozen", "exact", *ESTIMATOR_KINDS)
-NET_DIMS = net.DEFAULT_DIMS
 METRICS_HEADER = "epoch,train_loss,test_rmse,n_solver_evals,mesh_delta,wall_time_s"
 INCOMPLETE_MARKER = "# incomplete"
 
@@ -121,6 +120,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.mesh_lr is not None and (not np.isfinite(self.mesh_lr) or self.mesh_lr <= 0):
             raise ConfigError(f"mesh_lr must be positive and finite, got {self.mesh_lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.mesh_mode in ESTIMATOR_KINDS:
             self.estimator.validate(self.mesh_dim)
 
@@ -330,13 +331,17 @@ def declared_evals(config: TrainConfig, epochs_done: int | None = None) -> int:
     return total
 
 
+def _metrics_row(m: EpochMetrics) -> str:
+    """One epoch under METRICS_HEADER; floats as their repr, so the CSV
+    reads back bit for bit."""
+    return (
+        f"{m.epoch},{float(m.train_loss)!r},{float(m.test_rmse)!r},"
+        f"{m.n_solver_evals},{float(m.mesh_delta)!r},{float(m.wall_time)!r}"
+    )
+
+
 def write_metrics_csv(path: str | Path, metrics, incomplete: bool = False) -> None:
-    rows = [METRICS_HEADER]
-    for m in metrics:
-        rows.append(
-            f"{m.epoch},{float(m.train_loss)!r},{float(m.test_rmse)!r},"
-            f"{m.n_solver_evals},{float(m.mesh_delta)!r},{float(m.wall_time)!r}"
-        )
+    rows = [METRICS_HEADER, *map(_metrics_row, metrics)]
     if incomplete:
         rows.append(INCOMPLETE_MARKER)
     write_text_atomic(path, "\n".join(rows) + "\n")
@@ -354,13 +359,9 @@ def _adam_to_dict(state: AdamState) -> dict:
     }
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)
-
-
 def write_checkpoint(path: str | Path, config: TrainConfig, state: TrainState) -> None:
     payload = {
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "mesh": {
             "x_lines": state.mesh.x_lines.tolist(),
             "y_lines": state.mesh.y_lines.tolist(),
@@ -395,7 +396,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     solve = counter.wrap(solve_poisson)
 
     fine_mesh = uniform_mesh(config.fine_n)
-    workspace = net.Workspace(NET_DIMS, fine_mesh.n_nodes)
+    workspace = net.Workspace(net.DEFAULT_DIMS, fine_mesh.n_nodes)
     truths: dict[float, Field] = {}
 
     def fine_truth(alpha: float) -> Field:
@@ -405,7 +406,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
 
     coarse = initial_coarse_mesh(config)
     params0 = mesh_to_params(coarse)
-    netp = net.init_params(NET_DIMS, config.seed)
+    netp = net.init_params(net.DEFAULT_DIMS, config.seed)
     mesh_lr = config.lr if config.mesh_lr is None else config.mesh_lr
     adam_net = init_adam(net.flatten(netp).size, config.lr)
     adam_mesh = init_adam(max(params0.size, 1), mesh_lr)
@@ -499,31 +500,21 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     return metrics, state
 
 
-def scale_sweep(
-    config: TrainConfig, scales: list[tuple[int, int]]
-) -> list[tuple[tuple[int, int], list[EpochMetrics]]]:
-    """Train at several (coarse_n, fine_n) resolutions with a shared seed.
-    Every resolution's config is validated before the first one trains."""
-    if not scales:
-        raise ConfigError("scales must not be empty")
-    out = Path(config.out_dir)
-    cfgs = [
-        replace(config, coarse_n=c, fine_n=f, out_dir=str(out / f"scale_{c}x{f}"))
-        for c, f in scales
-    ]
-    for cfg in cfgs:
+def sweep(
+    out_dir: str | Path, name: str, labels: tuple[str, ...], cells: dict[tuple, TrainConfig]
+) -> list[tuple[tuple, list[EpochMetrics]]]:
+    """Train each cell in order, then write ``<out_dir>/<name>.csv``: the
+    label columns, then METRICS_HEADER's, one row per epoch of each cell.
+    Every cell is validated before the directory is made or any cell trains.
+    Returns (key, metrics) for each cell, in order."""
+    for cfg in cells.values():
         cfg.validate()
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = []
-    rows = ["coarse_n,fine_n," + METRICS_HEADER]
-    for (coarse_n, fine_n), cfg in zip(scales, cfgs):
-        metrics, _ = train_run(cfg)
-        results.append(((coarse_n, fine_n), metrics))
-        for m in metrics:
-            rows.append(
-                f"{coarse_n},{fine_n},{m.epoch},{float(m.train_loss)!r},"
-                f"{float(m.test_rmse)!r},{m.n_solver_evals},{float(m.mesh_delta)!r},"
-                f"{float(m.wall_time)!r}"
-            )
-    write_text_atomic(out / "scales.csv", "\n".join(rows) + "\n")
+    results = [(key, train_run(cfg)[0]) for key, cfg in cells.items()]
+    rows = [",".join((*labels, METRICS_HEADER))]
+    for key, metrics in results:
+        prefix = ",".join(map(str, key))
+        rows.extend(f"{prefix},{_metrics_row(m)}" for m in metrics)
+    write_text_atomic(out / f"{name}.csv", "\n".join(rows) + "\n")
     return results

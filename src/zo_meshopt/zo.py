@@ -48,6 +48,8 @@ class EstimatorSpec:
             raise ConfigError(f"perturbation size mu must be positive, got {self.mu}")
         if self.b < 1:
             raise ConfigError(f"draw count b must be at least 1, got {self.b}")
+        if self.seed < 0:
+            raise ConfigError(f"estimator seed must be non-negative, got {self.seed}")
         if dim < 1:
             raise ConfigError(f"input dimension must be at least 1, got {dim}")
         if self.kind == "gauss_coord" and not 1 <= self.d <= dim:

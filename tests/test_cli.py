@@ -121,6 +121,17 @@ def test_non_finite_mu_exits_two_before_training(tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"seed": -1},
+    {"mesh_mode": "gaussian", "estimator": {"seed": -1}},
+], ids=["seed", "estimator.seed"])
+def test_negative_seeds_exit_two_before_training(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("field,bad", [("lr", float("nan")), ("mesh_lr", float("inf"))])
 def test_non_finite_learning_rate_exits_two_before_training(tmp_path, capsys, field, bad):
     cfg = write_config(tmp_path / "c.json", mesh_mode="gaussian", **{field: bad})
@@ -239,7 +250,7 @@ def test_sweep_bd_trains_each_distinct_cell_once(tmp_path):
                        epochs=1, warm_start_epochs=0, out_dir=str(tmp_path / "bd"))
     assert cli.main(["sweep", "bd", "--config", str(cfg)]) == 0
     lines = (tmp_path / "bd" / "bd_sweep.csv").read_text().splitlines()
-    assert lines[0] == "b,d,epoch,train_loss,test_rmse,n_solver_evals"
+    assert lines[0] == "b,d," + train_mod.METRICS_HEADER
     cells = [tuple(int(v) for v in l.split(",")[:2]) for l in lines[1:]]
     want = [(b, d) for b in (1, 2, 4, 8) for d in (4, 6)]
     assert cells == want
@@ -250,22 +261,29 @@ def test_sweep_bd_trains_each_distinct_cell_once(tmp_path):
         assert (ckpt["config"]["estimator"]["b"], ckpt["config"]["estimator"]["d"]) == (b, d)
 
 
-def test_sweep_scales_checks_every_cell_before_training(tmp_path, capsys, monkeypatch):
-    """At fine 9 the coarse-9 cell is invalid: the sweep exits 2 before the
-    coarse-5 and coarse-7 cells train."""
+@pytest.mark.parametrize("what,overrides,message", [
+    ("scales", {"fine_n": 9}, "coarse_n=9 must be smaller than fine_n=9"),
+    ("modes", {"estimator": {"b": 0}}, "draw count b must be at least 1, got 0"),
+], ids=["scales", "modes"])
+def test_sweep_checks_every_cell_before_training(tmp_path, capsys, monkeypatch, what,
+                                                 overrides, message):
+    """At fine 9 the coarse-9 cell is invalid, and with b = 0 every
+    estimator cell is: the sweep exits 2 before the valid cells (coarse 5
+    and 7; frozen and exact) train."""
     trained = []
     monkeypatch.setattr(train_mod, "train_run", lambda cfg: trained.append(cfg) or ([], None))
-    cfg = write_config(tmp_path / "c.json", fine_n=9, out_dir=str(tmp_path / "sw"))
-    assert cli.main(["sweep", "scales", "--config", str(cfg)]) == 2
-    assert "coarse_n=9 must be smaller than fine_n=9" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "sw"), **overrides)
+    assert cli.main(["sweep", what, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
     assert trained == []
     assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("what,csv,header", [
     ("scales", "scales.csv", "coarse_n,fine_n," + train_mod.METRICS_HEADER),
-    ("bd", "bd_sweep.csv", "b,d,epoch,train_loss,test_rmse,n_solver_evals"),
-], ids=["scales", "bd"])
+    ("bd", "bd_sweep.csv", "b,d," + train_mod.METRICS_HEADER),
+    ("modes", "modes.csv", "mesh_mode," + train_mod.METRICS_HEADER),
+], ids=["scales", "bd", "modes"])
 def test_sweep_of_zero_epochs_writes_only_the_header(tmp_path, capsys, what, csv, header):
     cfg = write_config(tmp_path / "c.json", fine_n=17, epochs=0, warm_start_epochs=0,
                        out_dir=str(tmp_path / "sw"))

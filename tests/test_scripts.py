@@ -1,0 +1,33 @@
+"""Smoke tests for the experiment scripts under scripts/."""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_estimator_variance_table():
+    """The script runs, prints only finite numbers, and its gauss_coord rows
+    with d equal to the mesh dimension repeat the gaussian rows: with
+    d == dim, draw_directions gives the gaussian directions bit for bit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "estimator_variance.py"),
+         "--trials", "2", "--coarse-n", "5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "(dim 6)" in lines[0]
+    assert lines[1].split() == ["kind", "b", "d", "mean", "cos", "bias", "seed", "sd"]
+    table = {}
+    for line in lines[2:]:
+        kind, b, d, *values = line.split()
+        assert all(math.isfinite(float(v)) for v in values), line
+        table[kind, int(b), int(d)] = values
+    assert len(table) == 12
+    for b in (1, 4, 8):
+        assert table["gauss_coord", b, 6] == table["gaussian", b, 6]

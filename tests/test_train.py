@@ -34,7 +34,7 @@ from zo_meshopt.train import (
     mesh_grad,
     node_features,
     rmse,
-    scale_sweep,
+    sweep,
     train_run,
 )
 from zo_meshopt.zo import ESTIMATOR_KINDS, EstimatorSpec
@@ -239,6 +239,8 @@ def test_config_validation():
         tiny_config(warm_start_epochs=5, epochs=3).validate()
     with pytest.raises(ConfigError):
         tiny_config(lr=0.0).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        tiny_config(seed=-1).validate()
     with pytest.raises(ConfigError):
         tiny_config(mesh_mode="gauss_coord",
                     estimator=EstimatorSpec(kind="gauss_coord", b=0)).validate()
@@ -402,7 +404,7 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
     # Reference: one scenario at a time, each through its own fresh workspace.
     fine = uniform_mesh(config.fine_n)
     coarse = initial_coarse_mesh(config)
-    netp = net.init_params(train_mod.NET_DIMS, config.seed)
+    netp = net.init_params(net.DEFAULT_DIMS, config.seed)
     order = np.random.default_rng(np.random.SeedSequence([config.seed, 1])).permutation(
         len(config.train_alphas)
     )
@@ -436,7 +438,7 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
 
     monkeypatch.setattr(net, "Workspace", CountingWorkspace)
     _, state = train_run(config)
-    assert built == [(train_mod.NET_DIMS, fine.n_nodes)]
+    assert built == [(net.DEFAULT_DIMS, fine.n_nodes)]
     assert np.array_equal(net.flatten(state.net), want_theta)
     assert np.array_equal(state.mesh.x_lines, want_mesh.x_lines)
     assert np.array_equal(state.mesh.y_lines, want_mesh.y_lines)
@@ -473,7 +475,10 @@ def test_test_rmse_matches_manual_recompute(tmp_path):
 def test_scale_sweep_writes_combined_csv(tmp_path):
     config = tiny_config(fine_n=9, out_dir=str(tmp_path / "s"), epochs=2,
                          warm_start_epochs=2)
-    rows = scale_sweep(config, scales=[(3, 9), (5, 9)])
+    cells = {(c, 9): dataclasses.replace(config, coarse_n=c,
+                                         out_dir=str(tmp_path / "s" / f"scale_{c}x9"))
+             for c in (3, 5)}
+    sweep(tmp_path / "s", "scales", ("coarse_n", "fine_n"), cells)
     text = (tmp_path / "s" / "scales.csv").read_text().splitlines()
     assert text[0] == "coarse_n,fine_n," + METRICS_HEADER
     assert len(text) == 1 + 2 * config.epochs

@@ -209,6 +209,8 @@ def test_validation_rejects_bad_specs():
         EstimatorSpec(kind="gaussian", mu=0.0).validate(4)
     with pytest.raises(ConfigError):
         EstimatorSpec(kind="gaussian", b=0).validate(4)
+    with pytest.raises(ConfigError, match="seed"):
+        EstimatorSpec(kind="gaussian", seed=-1).validate(4)
     with pytest.raises(ConfigError):
         EstimatorSpec(kind="gauss_coord", d=0).validate(4)
     with pytest.raises(ConfigError):
