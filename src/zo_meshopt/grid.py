@@ -5,7 +5,9 @@ boundary lines pinned to 0 and 1.  The trainable degrees of freedom are the
 interior line positions, flattened to one parameter vector (interior x-lines
 first, then interior y-lines).  Fields store one value per node in row-major
 order over (j, i): node (i, j) sits at (x_lines[i], y_lines[j]) and lives at
-flat index j * nx + i, so each stored row follows one y-line.
+flat index j * nx + i, so each stored row follows one y-line.  Nearest
+upsampling and its adjoint share one fine-to-coarse node map, cached by the
+line contents of the (coarse, fine) pair.
 """
 
 from __future__ import annotations
@@ -272,25 +274,46 @@ def _nearest_line_index(lines: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.searchsorted(midpoints, targets, side="left")
 
 
+def _upsample_map(coarse: TensorMesh, fine: TensorMesh) -> np.ndarray:
+    """Flat index of each fine node's nearest coarse node, row-major over
+    the fine mesh; read-only and built once per (coarse, fine) pair of line
+    contents, so a training step's upsample and adjoint, and every pass
+    while the mesh is frozen, share one map."""
+    return _upsample_map_of(
+        coarse.x_lines.tobytes(),
+        coarse.y_lines.tobytes(),
+        fine.x_lines.tobytes(),
+        fine.y_lines.tobytes(),
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _upsample_map_of(cx_key: bytes, cy_key: bytes, fx_key: bytes, fy_key: bytes) -> np.ndarray:
+    coarse_x = np.frombuffer(cx_key)
+    ix = _nearest_line_index(coarse_x, np.frombuffer(fx_key))
+    iy = _nearest_line_index(np.frombuffer(cy_key), np.frombuffer(fy_key))
+    flat = (iy[:, None] * coarse_x.size + ix[None, :]).ravel()
+    flat.setflags(write=False)
+    return flat
+
+
 def nearest_upsample(coarse: TensorMesh, field: Field, fine: TensorMesh) -> Field:
     """Copy each fine node's value from its nearest coarse node.
 
     Euclidean distance on a tensor-product grid separates per axis, so the
     nearest coarse node is the pair of per-axis nearest lines; ties go to the
-    smaller (i, j) index.
+    smaller (i, j) index.  A gather through the cached fine-to-coarse map.
     """
     if field.mesh_shape != coarse.shape:
         raise ValueError(
             f"field shape {field.mesh_shape} does not match coarse mesh {coarse.shape}"
         )
-    ix = _nearest_line_index(coarse.x_lines, fine.x_lines)
-    iy = _nearest_line_index(coarse.y_lines, fine.y_lines)
-    out = field.as_grid()[np.ix_(iy, ix)]
-    return Field(out.ravel(), fine.shape)
+    return Field(field.values[_upsample_map(coarse, fine)], fine.shape)
 
 
 def upsample_adjoint(coarse: TensorMesh, fine: TensorMesh, fine_cotangent: Field) -> Field:
-    """Exact transpose of nearest_upsample: scatter-add over the same map.
+    """Exact transpose of nearest_upsample: scatter-add over the same cached
+    map.
 
     bincount adds each fine value to its coarse node in fine-node order,
     the same sums np.add.at would make.
@@ -299,11 +322,9 @@ def upsample_adjoint(coarse: TensorMesh, fine: TensorMesh, fine_cotangent: Field
         raise ValueError(
             f"cotangent shape {fine_cotangent.mesh_shape} does not match fine mesh {fine.shape}"
         )
-    ix = _nearest_line_index(coarse.x_lines, fine.x_lines)
-    iy = _nearest_line_index(coarse.y_lines, fine.y_lines)
-    nxc, nyc = coarse.shape
-    flat = (iy[:, None] * nxc + ix[None, :]).ravel()
-    acc = np.bincount(flat, weights=fine_cotangent.values, minlength=nxc * nyc)
+    acc = np.bincount(
+        _upsample_map(coarse, fine), weights=fine_cotangent.values, minlength=coarse.n_nodes
+    )
     return Field(acc, coarse.shape)
 
 
@@ -324,11 +345,12 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def write_field_csv(field: Field, path: str | Path) -> None:
-    """One row per y-line, comma-separated, after a '# nx=.. ny=..' header."""
+    """One row per y-line, comma-separated, after a '# nx=.. ny=..' header;
+    each value is its float repr, so read_field_csv reads it back bit for
+    bit."""
     nx, ny = field.mesh_shape
     lines = [f"# nx={nx} ny={ny}"]
-    for row in field.as_grid():
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in field.as_grid().tolist())
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

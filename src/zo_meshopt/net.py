@@ -5,16 +5,22 @@ predictions are (n, d_out) and input gradients are (n, d0).  backward
 differentiates sum(cotangent * predictions) exactly.
 
 Every pass writes into a ``Workspace`` whose buffers are feature-major: one
-C-contiguous (width, n) array per layer, so the bias adds, the output
-layer's outer product and the bias-gradient sums run along contiguous rows.
-The batch-first arrays the API takes and returns are transposed views of
-those buffers, made once per workspace, and a training run that keeps one
-workspace allocates no per-layer array per step.  Aliasing rule: the
-predictions ``forward`` returns, and the input gradients ``backward``
-returns, are views into the workspace and live only until its next
-``forward``; copy them to keep them.  ``backward`` refuses a cache whose
-workspace a later ``forward`` has refilled.  ``forward`` without a workspace
-builds a fresh one, so its results are never overwritten.
+C-contiguous (width, n) array per layer, so the output layer's outer
+product and the bias-gradient sums run along contiguous rows.  Each layer's
+input buffer ends in a row of ones, so forward computes a layer as one
+``[W | b]`` product with no separate bias pass.  The batch-first arrays the
+API takes and returns are transposed views of those buffers, made once per
+workspace, and a training run that keeps one workspace allocates no
+per-layer array per step.
+
+Aliasing rule: the predictions ``forward`` returns, and the input gradients
+``backward`` returns, are views into the workspace and live only until its
+next ``forward``; copy them to keep them.  ``backward`` builds each hidden
+layer's dz over that layer's activations, so after it only the predictions
+and the features survive in the workspace.  ``backward`` refuses a cache
+whose workspace a later ``forward`` has refilled, or that an earlier
+``backward`` has consumed.  ``forward`` without a workspace builds a fresh
+one, so its results are never overwritten by another forward.
 """
 
 from __future__ import annotations
@@ -63,14 +69,19 @@ class MlpGrads:
 class Workspace:
     """Reusable float64 buffers for forward and backward on n rows.
 
-    Feature-major buffers, each C-contiguous: ``features_t`` (dims[0], n),
-    ``activations_t[l]`` (dims[l + 1], n) per layer l, ``input_grads_t``
-    (dims[0], n), and ``dz_t`` and ``g_t``, each (widest hidden layer, n),
-    in which backward builds a hidden layer's dz and the gradient it passes
-    down; the output layer's dz is the cotangent itself.  ``features``,
-    ``activations`` and ``input_grads`` are their batch-first transposed
-    views; a caller may build its (n, dims[0]) inputs in ``features``.
-    ``generation`` counts the forwards written.
+    Feature-major buffers, each C-contiguous.  ``inputs_t[l]`` is layer l's
+    input, (dims[l] + 1, n), whose last row holds ones, so that layer l is
+    the one product ``[W_l | b_l] @ inputs_t[l]``.  ``features_t``
+    (dims[0], n) is the value rows of ``inputs_t[0]``, and
+    ``activations_t[l]`` (dims[l + 1], n) those of ``inputs_t[l + 1]``; the
+    output layer's, the last, is a buffer of its own with no ones row.
+    ``input_grads_t`` is (dims[0], n), and ``g_t`` (widest hidden layer, n)
+    holds the gradient backward passes down a layer.  Backward builds a
+    hidden layer's dz over that layer's activations; the output layer's dz
+    is the cotangent itself.  ``features``, ``activations`` and
+    ``input_grads`` are the batch-first transposed views; a caller may build
+    its (n, dims[0]) inputs in ``features``.  ``generation`` counts the
+    passes written, forward and backward alike.
     """
 
     def __init__(self, layer_dims, n: int):
@@ -78,10 +89,13 @@ class Workspace:
         self.layer_dims = dims
         self.n = int(n)
         hidden = max(dims[1:-1], default=0)
-        self.features_t = np.empty((dims[0], n))
-        self.activations_t = tuple(np.empty((d, n)) for d in dims[1:])
+        self.inputs_t = tuple(np.ones((d + 1, n)) for d in dims[:-1])
+        self.features_t = self.inputs_t[0][:-1]
+        self.activations_t = (
+            *(x[:-1] for x in self.inputs_t[1:]),
+            np.empty((dims[-1], n)),
+        )
         self.input_grads_t = np.empty((dims[0], n))
-        self.dz_t = np.empty((hidden, n))
         self.g_t = np.empty((hidden, n))
         self.features = self.features_t.T
         self.activations = tuple(a.T for a in self.activations_t)
@@ -137,34 +151,44 @@ def forward(
         np.copyto(out.features, x)
     out.generation += 1
     last = len(params.weights) - 1
-    a = out.features_t
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = np.matmul(w, a, out=out.activations_t[l])
-        a += b[:, None]
+        wb = np.concatenate((w, b[:, None]), axis=1)
+        a = np.matmul(wb, out.inputs_t[l], out=out.activations_t[l])
         if l != last:
             np.tanh(a, out=a)
     return out.activations[-1], ForwardCache(params, out, out.generation)
 
 
 def backward(
-    params: MlpParams, cache: ForwardCache, prediction_cotangent: np.ndarray
-) -> tuple[MlpGrads, np.ndarray]:
+    params: MlpParams,
+    cache: ForwardCache,
+    prediction_cotangent: np.ndarray,
+    *,
+    input_grads: bool = True,
+) -> tuple[MlpGrads, np.ndarray | None]:
     """Reverse-mode gradients of sum(cotangent * predictions).
 
     Returns parameter gradients and per-row input gradients (n, d0); the
-    latter are ``cache.workspace.input_grads``.
+    latter are ``cache.workspace.input_grads``, or None with
+    ``input_grads=False``, which skips their product.  Consumes the cache:
+    the hidden activations are overwritten, and a second backward on it
+    raises ValueError.
     """
     if cache.params is not params:
         raise ValueError("cache was produced by a different forward pass")
     ws = cache.workspace
     if cache.generation != ws.generation:
-        raise ValueError("cache's workspace was refilled by a later forward pass")
+        raise ValueError(
+            "cache is stale: its workspace was refilled by a later forward pass "
+            "or consumed by a backward pass"
+        )
     cot = np.asarray(prediction_cotangent, dtype=float)
     if cot.shape != ws.activations[-1].shape:
         raise ValueError(
             f"cotangent shape {cot.shape} does not match predictions "
             f"{ws.activations[-1].shape}"
         )
+    ws.generation += 1
     n_layers = len(params.weights)
     w_grads: list[np.ndarray] = [np.empty(0)] * n_layers
     b_grads: list[np.ndarray] = [np.empty(0)] * n_layers
@@ -172,14 +196,16 @@ def backward(
     for l in reversed(range(n_layers)):
         w = params.weights[l]
         if l != n_layers - 1:
-            # (1 - act**2) * g, built in place in the dz buffer.
-            act = ws.activations_t[l]
-            dz = np.square(act, out=ws.dz_t[: act.shape[0]])
+            # (1 - act**2) * g, built in place over the activations: the
+            # layer above's weight gradient was their last reader.
+            dz = np.square(ws.activations_t[l], out=ws.activations_t[l])
             np.subtract(1.0, dz, out=dz)
             dz *= g
         a_prev = ws.features_t if l == 0 else ws.activations_t[l - 1]
         w_grads[l] = dz @ a_prev.T
         b_grads[l] = dz.sum(axis=1)
+        if l == 0 and not input_grads:
+            break
         g_out = ws.input_grads_t if l == 0 else ws.g_t[: w.shape[1]]
         if dz.shape[0] == 1:
             # A (w, 1) by (1, n) product is an outer product: one rounding
@@ -187,7 +213,8 @@ def backward(
             g = np.multiply(w.T, dz, out=g_out)
         else:
             g = np.matmul(w.T, dz, out=g_out)
-    return MlpGrads(tuple(w_grads), tuple(b_grads)), ws.input_grads
+    grads = MlpGrads(tuple(w_grads), tuple(b_grads))
+    return grads, ws.input_grads if input_grads else None
 
 
 def flatten(obj) -> np.ndarray:

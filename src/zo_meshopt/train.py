@@ -230,16 +230,23 @@ def loss_forward(
     return loss, cache, coarse_field
 
 
-def loss_backward(cache: LossCache) -> tuple[net.MlpGrads, Field]:
+def loss_backward(
+    cache: LossCache, *, mesh_cotangent: bool = True
+) -> tuple[net.MlpGrads, Field | None]:
     """Exact gradients of one scenario's MSE.
 
     Returns network parameter gradients and the coarse-field cotangent
     (the upsample adjoint of the network's input gradient in the upsampled
-    column).
+    column).  With ``mesh_cotangent=False`` the cotangent, which only a
+    mesh gradient needs, is neither built nor returned (None).
     """
     n = cache.predictions.shape[0]
     cot = 2.0 * (cache.predictions - cache.fine_field.values[:, None]) / n
-    grads, input_grads = net.backward(cache.net_params, cache.net_cache, cot)
+    grads, input_grads = net.backward(
+        cache.net_params, cache.net_cache, cot, input_grads=mesh_cotangent
+    )
+    if not mesh_cotangent:
+        return grads, None
     fine_cot = Field(input_grads[:, 2], cache.fine_mesh.shape)
     v_coarse = upsample_adjoint(cache.coarse_mesh, cache.fine_mesh, fine_cot)
     return grads, v_coarse
@@ -435,7 +442,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                         solve=solve, workspace=workspace,
                     )
                     losses.append(loss)
-                    grads, v_coarse = loss_backward(cache)
+                    grads, v_coarse = loss_backward(cache, mesh_cotangent=joint)
                     theta_grads.append(net.flatten(grads))
                     if joint:
                         v_scaled = Field(v_coarse.values / n_batch, v_coarse.mesh_shape)

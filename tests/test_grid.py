@@ -312,6 +312,33 @@ def test_upsample_adjoint_matches_add_at_bitwise(ncx, ncy, nfx, nfy, seed):
     assert np.array_equal(got.values, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12), st.integers(9, 40), st.integers(0, 2**32 - 1))
+def test_cached_upsample_map_matches_direct_gather_and_add_at(nc, nf, seed):
+    """Meshes A, B, A in turn: each gets its own map (the cache is keyed on
+    line contents, not on the mesh object), and every result equals the
+    direct per-axis gather and np.add.at bit for bit."""
+    rng = np.random.default_rng(seed)
+
+    def lines(k):
+        return np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k - 2)), [1.0]])
+
+    fine = TensorMesh(lines(nf), lines(nf + 1), s_min=1e-9)
+    mesh_a = TensorMesh(lines(nc), lines(nc + 2), s_min=1e-9)
+    mesh_b = TensorMesh(lines(nc), lines(nc + 2), s_min=1e-9)
+    for coarse in (mesh_a, mesh_b, TensorMesh(mesh_a.x_lines, mesh_a.y_lines, s_min=1e-9)):
+        field = Field(rng.standard_normal(coarse.n_nodes), coarse.shape)
+        ix = grid_mod._nearest_line_index(coarse.x_lines, fine.x_lines)
+        iy = grid_mod._nearest_line_index(coarse.y_lines, fine.y_lines)
+        up = nearest_upsample(coarse, field, fine)
+        assert np.array_equal(up.values, field.as_grid()[np.ix_(iy, ix)].ravel())
+        cot = rng.standard_normal(fine.n_nodes) * 10.0 ** rng.uniform(-10, 10, fine.n_nodes)
+        want = np.zeros(coarse.n_nodes)
+        np.add.at(want, (iy[:, None] * coarse.shape[0] + ix[None, :]).ravel(), cot)
+        got = upsample_adjoint(coarse, fine, Field(cot, fine.shape))
+        assert np.array_equal(got.values, want)
+
+
 def test_upsample_adjoint_counts_hits():
     coarse = uniform_mesh(3)
     fine = uniform_mesh(9)
@@ -338,3 +365,14 @@ def test_field_csv_roundtrip(tmp_path):
     f2 = read_field_csv(path)
     assert f2.mesh_shape == (4, 4)
     assert np.array_equal(f2.values, f.values)
+
+
+def test_field_csv_writes_each_value_as_its_repr(tmp_path):
+    awkward = [-0.0, 5e-324, 1e300, 0.1 + 0.2, -1.5, 2.0 / 3.0]
+    f = Field(np.array(awkward), (3, 2))
+    path = tmp_path / "field.csv"
+    write_field_csv(f, path)
+    rows = [",".join(repr(float(v)) for v in row) for row in f.as_grid()]
+    assert path.read_bytes() == ("\n".join(["# nx=3 ny=2", *rows]) + "\n").encode()
+    back = read_field_csv(path)
+    assert back.values.tobytes() == f.values.tobytes()

@@ -225,7 +225,7 @@ def test_workspace_holds_no_more_than_the_batch_first_layout(n):
     # input-gradient buffer per layer: 4 + 65 + 64 + 68 = 201 values a row.
     ws = Workspace(DEFAULT_DIMS, n)
     assert _float64_held(ws) <= 201 * n
-    for buf in (ws.features_t, *ws.activations_t, ws.input_grads_t, ws.dz_t, ws.g_t):
+    for buf in (*ws.inputs_t, ws.features_t, *ws.activations_t, ws.input_grads_t, ws.g_t):
         assert buf.flags.c_contiguous
 
 
@@ -237,6 +237,29 @@ def test_backward_rejects_cache_of_refilled_workspace():
     with pytest.raises(ValueError, match="refilled"):
         backward(params, stale, np.ones((4, 1)))
     backward(params, fresh, np.ones((4, 1)))
+
+
+def test_backward_consumes_its_cache_and_keeps_the_predictions():
+    params = init_params(DEFAULT_DIMS, seed=0)
+    x = np.random.default_rng(2).standard_normal((9, 4))
+    pred, cache = forward(params, x)
+    kept = pred.copy()
+    backward(params, cache, np.ones((9, 1)))
+    assert np.array_equal(pred, kept)
+    with pytest.raises(ValueError, match="consumed"):
+        backward(params, cache, np.ones((9, 1)))
+
+
+def test_backward_without_input_grads_gives_the_same_parameter_grads():
+    params = init_params(DEFAULT_DIMS, seed=4)
+    rng = np.random.default_rng(4)
+    x, cot = rng.standard_normal((33, 4)), rng.standard_normal((33, 1))
+    full, input_grads = backward(params, forward(params, x)[1], cot)
+    assert input_grads is not None
+    lean, none = backward(params, forward(params, x)[1], cot, input_grads=False)
+    assert none is None
+    for got, want in zip(lean.weights + lean.biases, full.weights + full.biases):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dims,n", [((2, 3, 1), 5), ((2, 4, 1), 4), ((2, 3, 2), 4)])

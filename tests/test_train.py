@@ -18,6 +18,7 @@ from zo_meshopt.grid import (
     nearest_upsample,
     params_to_mesh,
     uniform_mesh,
+    upsample_adjoint,
 )
 from zo_meshopt.optim import adam_step, init_adam
 from zo_meshopt.solver import solve_poisson
@@ -391,6 +392,26 @@ def test_joint_desk_training_starts_no_thread(tmp_path, monkeypatch):
     metrics, _ = train_run(config)
     assert metrics[-1].n_solver_evals == declared_evals(config)
     assert metrics[-1].mesh_delta > 0.0
+
+
+@pytest.mark.parametrize("mode,epochs,warm,calls", [
+    ("coordinate", 2, 2, 0),  # warm epochs only
+    ("frozen", 2, 0, 0),
+    ("coordinate", 2, 1, 2),  # one joint epoch over two train scenarios
+])
+def test_only_joint_epochs_build_the_mesh_cotangent(tmp_path, monkeypatch, mode, epochs, warm,
+                                                    calls):
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return upsample_adjoint(*args)
+
+    monkeypatch.setattr(train_mod, "upsample_adjoint", counting)
+    train_run(tiny_config(mesh_mode=mode, epochs=epochs, warm_start_epochs=warm,
+                          estimator=EstimatorSpec(kind="coordinate", b=2, seed=0),
+                          out_dir=str(tmp_path / "run")))
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("mode,est", [
