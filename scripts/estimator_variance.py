@@ -23,6 +23,8 @@ def main(argv=None):
     ap.add_argument("--trials", type=int, default=64)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.trials < 2:
+        ap.error(f"--trials must be at least 2 for a seed spread, got {args.trials}")
 
     mesh = uniform_mesh(args.coarse_n)
     scenario = ScenarioParams(alpha=args.alpha)

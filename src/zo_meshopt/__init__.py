@@ -35,7 +35,7 @@ from .train import (
     sweep,
     train_run,
 )
-from .zo import EstimatorSpec, estimator_stats, zo_grad_scalar, zo_vjp
+from .zo import EstimatorSpec, zo_vjp
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "adam_step",
     "declared_evals",
     "exact_mesh_vjp",
-    "estimator_stats",
     "init_adam",
     "init_coarse_from_fine",
     "init_params",
@@ -74,6 +73,5 @@ __all__ = [
     "uniform_mesh",
     "upsample_adjoint",
     "write_field_csv",
-    "zo_grad_scalar",
     "zo_vjp",
 ]

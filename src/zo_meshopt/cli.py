@@ -146,8 +146,9 @@ def _final(metrics: list, name: str) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = apply_overrides(load_config(args.config), args)
-    config.validate()
+    # First, so a repeated test alpha is reported with the file it would share.
     _check_test_outputs(config)
+    config.validate()
     metrics, state = train_run(config)
     out = Path(config.out_dir)
     for alpha, pred, truth in state.test_outputs:

@@ -8,10 +8,11 @@ Every pass writes into a ``Workspace`` whose buffers are feature-major: one
 C-contiguous (width, n) array per layer, so the output layer's outer
 product and the bias-gradient sums run along contiguous rows.  Each layer's
 input buffer ends in a row of ones, so forward computes a layer as one
-``[W | b]`` product with no separate bias pass.  The batch-first arrays the
-API takes and returns are transposed views of those buffers, made once per
-workspace, and a training run that keeps one workspace allocates no
-per-layer array per step.
+product with its parameter block ``[W | b]``, a view of ``MlpParams.flat``,
+and no separate bias pass.  The batch-first arrays the API takes and
+returns are transposed views of those buffers, made once per workspace, and
+a training run that keeps one workspace allocates no per-layer array per
+step.
 
 Aliasing rule: the predictions ``forward`` returns, and the input gradients
 ``backward`` returns, are views into the workspace and live only until its
@@ -25,7 +26,7 @@ one, so its results are never overwritten by another forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,34 +37,52 @@ DEFAULT_DIMS = (4, 32, 32, 1)
 
 @dataclass(frozen=True)
 class MlpParams:
+    """The network's parameters as one float64 vector, ``flat``.
+
+    ``flat`` holds the layers' ``[W_l | b_l]`` blocks in turn, each row-major,
+    so row o of layer l is W_l[o, :] followed by b_l[o].  ``blocks[l]`` is
+    the C-contiguous (dims[l + 1], dims[l] + 1) view of layer l's block, and
+    ``weights[l]`` and ``biases[l]`` are views of its columns.
+    """
+
     layer_dims: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]  # (fan_out, fan_in) per layer
-    biases: tuple[np.ndarray, ...]
-    seed: int | None = None
+    flat: np.ndarray
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValueError(f"layer_dims must hold positive widths, got {dims}")
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError("one weight matrix and bias vector per layer required")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
-                raise ValueError(
-                    f"layer {l} expects weights {(dims[l + 1], dims[l])} and "
-                    f"biases {(dims[l + 1],)}, got {w.shape} and {b.shape}"
-                )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l} parameters contain non-finite entries")
+        flat = np.ascontiguousarray(self.flat, dtype=float)
+        if flat.shape != (n_params(dims),):
+            raise ValueError(
+                f"expected {n_params(dims)} parameters for dims {dims}, got shape {flat.shape}"
+            )
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("parameters contain non-finite entries")
         object.__setattr__(self, "layer_dims", dims)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "blocks", _blocks(dims, flat))
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """(fan_out, fan_in) views, one per layer."""
+        return tuple(block[:, :-1] for block in self.blocks)
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return tuple(block[:, -1] for block in self.blocks)
 
 
-@dataclass(frozen=True)
-class MlpGrads:
-    """Parameter gradients with the same shapes as MlpParams."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+def _blocks(dims: tuple[int, ...], flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (fan_out, fan_in + 1) views of flat, layer after layer."""
+    blocks = []
+    pos = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        size = fan_out * (fan_in + 1)
+        blocks.append(flat[pos : pos + size].reshape(fan_out, fan_in + 1))
+        pos += size
+    return tuple(blocks)
 
 
 class Workspace:
@@ -111,18 +130,17 @@ class ForwardCache:
 
 
 def init_params(layer_dims, seed: int) -> MlpParams:
-    """Glorot-uniform weights (limit sqrt(6 / (fan_in + fan_out))), zero biases."""
+    """Glorot-uniform weights (limit sqrt(6 / (fan_in + fan_out))), drawn
+    layer after layer from one generator, and zero biases."""
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ConfigError(f"layer_dims must hold positive widths, got {dims}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    flat = np.zeros(n_params(dims))
+    for fan_in, fan_out, block in zip(dims[:-1], dims[1:], _blocks(dims, flat)):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(dims, tuple(weights), tuple(biases), seed)
+        block[:, :-1] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return MlpParams(dims, flat)
 
 
 def forward(
@@ -150,9 +168,8 @@ def forward(
     if x is not out.features:
         np.copyto(out.features, x)
     out.generation += 1
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        wb = np.concatenate((w, b[:, None]), axis=1)
+    last = len(params.blocks) - 1
+    for l, wb in enumerate(params.blocks):
         a = np.matmul(wb, out.inputs_t[l], out=out.activations_t[l])
         if l != last:
             np.tanh(a, out=a)
@@ -165,12 +182,13 @@ def backward(
     prediction_cotangent: np.ndarray,
     *,
     input_grads: bool = True,
-) -> tuple[MlpGrads, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Reverse-mode gradients of sum(cotangent * predictions).
 
-    Returns parameter gradients and per-row input gradients (n, d0); the
-    latter are ``cache.workspace.input_grads``, or None with
-    ``input_grads=False``, which skips their product.  Consumes the cache:
+    Returns the parameter gradients, one fresh vector laid out as
+    ``params.flat``, and per-row input gradients (n, d0); the latter are
+    ``cache.workspace.input_grads``, or None with ``input_grads=False``,
+    which skips their product.  Consumes the cache:
     the hidden activations are overwritten, and a second backward on it
     raises ValueError.
     """
@@ -189,12 +207,12 @@ def backward(
             f"{ws.activations[-1].shape}"
         )
     ws.generation += 1
-    n_layers = len(params.weights)
-    w_grads: list[np.ndarray] = [np.empty(0)] * n_layers
-    b_grads: list[np.ndarray] = [np.empty(0)] * n_layers
+    grads = np.empty_like(params.flat)
+    grad_blocks = _blocks(params.layer_dims, grads)
+    n_layers = len(params.blocks)
     dz = cot.T
     for l in reversed(range(n_layers)):
-        w = params.weights[l]
+        w = params.blocks[l][:, :-1]
         if l != n_layers - 1:
             # (1 - act**2) * g, built in place over the activations: the
             # layer above's weight gradient was their last reader.
@@ -202,8 +220,8 @@ def backward(
             np.subtract(1.0, dz, out=dz)
             dz *= g
         a_prev = ws.features_t if l == 0 else ws.activations_t[l - 1]
-        w_grads[l] = dz @ a_prev.T
-        b_grads[l] = dz.sum(axis=1)
+        np.matmul(dz, a_prev.T, out=grad_blocks[l][:, :-1])
+        np.sum(dz, axis=1, out=grad_blocks[l][:, -1])
         if l == 0 and not input_grads:
             break
         g_out = ws.input_grads_t if l == 0 else ws.g_t[: w.shape[1]]
@@ -213,33 +231,7 @@ def backward(
             g = np.multiply(w.T, dz, out=g_out)
         else:
             g = np.matmul(w.T, dz, out=g_out)
-    grads = MlpGrads(tuple(w_grads), tuple(b_grads))
     return grads, ws.input_grads if input_grads else None
-
-
-def flatten(obj) -> np.ndarray:
-    """Weights and biases concatenated layer by layer (W0, b0, W1, b1, ...)."""
-    parts = []
-    for w, b in zip(obj.weights, obj.biases):
-        parts.append(np.asarray(w, dtype=float).ravel())
-        parts.append(np.asarray(b, dtype=float).ravel())
-    return np.concatenate(parts)
-
-
-def unflatten(layer_dims, vec: np.ndarray, seed: int | None = None) -> MlpParams:
-    dims = tuple(int(d) for d in layer_dims)
-    vec = np.asarray(vec, dtype=float)
-    weights = []
-    biases = []
-    pos = 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(vec[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
-        pos += fan_out * fan_in
-        biases.append(vec[pos : pos + fan_out])
-        pos += fan_out
-    if pos != vec.size:
-        raise ValueError(f"expected {pos} parameters for dims {dims}, got {vec.size}")
-    return MlpParams(dims, tuple(weights), tuple(biases), seed)
 
 
 def n_params(layer_dims) -> int:

@@ -32,7 +32,7 @@ from .grid import (
     upsample_adjoint,
     write_text_atomic,
 )
-from .optim import AdamState, NonFiniteGradient, adam_step, init_adam
+from .optim import BETA1, BETA2, EPS, AdamState, NonFiniteGradient, adam_step, init_adam
 from .solver import exact_mesh_vjp, make_evaluate, solve_poisson
 from .zo import ESTIMATOR_KINDS, EstimatorSpec, zo_vjp
 
@@ -105,6 +105,10 @@ class TrainConfig:
         for a in (*self.train_alphas, *self.test_alphas):
             if not np.isfinite(a) or a <= 0:
                 raise ConfigError(f"alphas must be positive and finite, got {a}")
+        for name in ("train_alphas", "test_alphas"):
+            alphas = getattr(self, name)
+            if len(set(alphas)) != len(alphas):
+                raise ConfigError(f"{name} must not repeat an alpha, got {list(alphas)}")
         if set(self.train_alphas) & set(self.test_alphas):
             raise ConfigError("train and test alphas must be disjoint")
         if self.epochs < 0:
@@ -232,13 +236,14 @@ def loss_forward(
 
 def loss_backward(
     cache: LossCache, *, mesh_cotangent: bool = True
-) -> tuple[net.MlpGrads, Field | None]:
+) -> tuple[np.ndarray, Field | None]:
     """Exact gradients of one scenario's MSE.
 
-    Returns network parameter gradients and the coarse-field cotangent
-    (the upsample adjoint of the network's input gradient in the upsampled
-    column).  With ``mesh_cotangent=False`` the cotangent, which only a
-    mesh gradient needs, is neither built nor returned (None).
+    Returns the network parameter gradients, laid out as ``MlpParams.flat``,
+    and the coarse-field cotangent (the upsample adjoint of the network's
+    input gradient in the upsampled column).  With ``mesh_cotangent=False``
+    the cotangent, which only a mesh gradient needs, is neither built nor
+    returned (None).
     """
     n = cache.predictions.shape[0]
     cot = 2.0 * (cache.predictions - cache.fine_field.values[:, None]) / n
@@ -360,9 +365,9 @@ def _adam_to_dict(state: AdamState) -> dict:
         "v": state.v.tolist(),
         "t": state.t,
         "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
+        "beta1": BETA1,
+        "beta2": BETA2,
+        "eps": EPS,
     }
 
 
@@ -378,7 +383,7 @@ def write_checkpoint(path: str | Path, config: TrainConfig, state: TrainState) -
             "layer_dims": list(state.net.layer_dims),
             "weights": [w.tolist() for w in state.net.weights],
             "biases": [b.tolist() for b in state.net.biases],
-            "seed": state.net.seed,
+            "seed": config.seed,
         },
         "adam": {
             "net": _adam_to_dict(state.adam_net),
@@ -415,7 +420,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     params0 = mesh_to_params(coarse)
     netp = net.init_params(net.DEFAULT_DIMS, config.seed)
     mesh_lr = config.lr if config.mesh_lr is None else config.mesh_lr
-    adam_net = init_adam(net.flatten(netp).size, config.lr)
+    adam_net = init_adam(netp.flat.size, config.lr)
     adam_mesh = init_adam(max(params0.size, 1), mesh_lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     est_calls = 0
@@ -443,7 +448,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     )
                     losses.append(loss)
                     grads, v_coarse = loss_backward(cache, mesh_cotangent=joint)
-                    theta_grads.append(net.flatten(grads))
+                    theta_grads.append(grads)
                     if joint:
                         v_scaled = Field(v_coarse.values / n_batch, v_coarse.mesh_shape)
                         spec = None
@@ -464,8 +469,8 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                 batch_losses.append(float(np.mean(losses)))
                 theta_grad = np.mean(np.stack(theta_grads), axis=0)
                 try:
-                    adam_net, new_theta = adam_step(adam_net, net.flatten(netp), theta_grad)
-                    netp = net.unflatten(netp.layer_dims, new_theta, seed=netp.seed)
+                    adam_net, new_theta = adam_step(adam_net, netp.flat, theta_grad)
+                    netp = net.MlpParams(netp.layer_dims, new_theta)
                 except NonFiniteGradient as err:
                     log.warning("epoch %d: skipping network update: %s", epoch, err)
                 if joint:

@@ -38,9 +38,9 @@ from zo_meshopt.train import (
 from zo_meshopt.zo import (
     EstimatorSpec,
     draw_directions,
-    estimator_stats,
     zo_vjp,
 )
+from zo_scalar import estimator_stats
 
 ZO_KINDS = ("coordinate", "gaussian", "gauss_coord")
 
@@ -173,12 +173,11 @@ def test_differentiation_oracles():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((20, 4))
     preds, cache = net.forward(netp, feats)
-    grads, _ = net.backward(netp, cache, preds.copy())
-    theta = net.flatten(netp)
-    g = net.flatten(grads)
+    g, _ = net.backward(netp, cache, preds.copy())
+    theta = netp.flat
 
     def objective(vec):
-        p, _ = net.forward(net.unflatten(netp.layer_dims, vec), feats)
+        p, _ = net.forward(net.MlpParams(netp.layer_dims, vec), feats)
         return 0.5 * float(np.sum(p * p))
 
     h = 1e-5

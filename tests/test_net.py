@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 from zo_meshopt.errors import ConfigError
 from zo_meshopt.net import (
     DEFAULT_DIMS,
+    MlpParams,
     Workspace,
-    flatten,
     forward,
     backward,
     init_params,
     n_params,
-    unflatten,
 )
 
 
@@ -56,6 +55,19 @@ def test_init_glorot_bounds_and_determinism():
     assert not np.array_equal(params.weights[0], other.weights[0])
 
 
+@pytest.mark.parametrize("dims,seed", [((4, 32, 32, 1), 0), ((3, 5, 4, 2), 11)])
+def test_init_draws_each_layer_from_one_generator(dims, seed):
+    """The initial net is pinned: layer after layer, weights are the next
+    uniform(-limit, limit) draw of one default_rng(seed); biases are zero."""
+    params = init_params(dims, seed)
+    rng = np.random.default_rng(seed)
+    for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        want = rng.uniform(-limit, limit, (fan_out, fan_in))
+        assert np.array_equal(params.weights[l], want)
+        assert np.array_equal(params.biases[l], np.zeros(fan_out))
+
+
 def test_init_rejects_bad_dims():
     with pytest.raises(ConfigError):
         init_params((4,), seed=0)
@@ -73,18 +85,17 @@ def test_backward_matches_finite_differences():
     pred, cache = forward(params, x)
     grads, _ = backward(params, cache, g)
 
-    theta = flatten(params)
-    gflat = flatten(grads)
+    theta = params.flat
     h = 1e-6
     worst = 0.0
     for k in range(theta.size):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
         tm[k] -= h
-        fp = float(np.sum(g * forward(unflatten(dims, tp), x)[0]))
-        fm = float(np.sum(g * forward(unflatten(dims, tm), x)[0]))
+        fp = float(np.sum(g * forward(MlpParams(dims, tp), x)[0]))
+        fm = float(np.sum(g * forward(MlpParams(dims, tm), x)[0]))
         fd = (fp - fm) / (2.0 * h)
-        rel = abs(gflat[k] - fd) / max(abs(gflat[k]), abs(fd), 1e-12)
+        rel = abs(grads[k] - fd) / max(abs(grads[k]), abs(fd), 1e-12)
         worst = max(worst, rel)
     assert worst < 1e-4
 
@@ -128,20 +139,32 @@ def test_backward_rejects_bad_cotangent_shape():
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(2, 3, 1), (4, 8, 8, 1), (3, 5, 2)]), st.integers(0, 100))
-def test_flatten_unflatten_roundtrip(dims, seed):
+def test_blocks_are_views_of_flat(dims, seed):
     params = init_params(dims, seed=seed)
-    vec = flatten(params)
-    assert vec.size == n_params(dims)
-    back = unflatten(dims, vec)
-    for w, w2 in zip(params.weights, back.weights):
-        assert np.array_equal(w, w2)
-    for b, b2 in zip(params.biases, back.biases):
-        assert np.array_equal(b, b2)
+    assert params.flat.shape == (n_params(dims),)
+    pos = 0
+    for l, block in enumerate(params.blocks):
+        assert block.shape == (dims[l + 1], dims[l] + 1)
+        assert block.flags.c_contiguous
+        assert np.shares_memory(block, params.flat)
+        assert np.array_equal(block.ravel(), params.flat[pos : pos + block.size])
+        assert np.array_equal(block, np.column_stack((params.weights[l], params.biases[l])))
+        pos += block.size
+    assert pos == params.flat.size
+    again = MlpParams(dims, params.flat)
+    assert again.flat is params.flat
 
 
-def test_unflatten_rejects_wrong_length():
+@pytest.mark.parametrize("flat", [
+    np.zeros(5),
+    np.zeros(n_params((2, 3, 1)) + 1),
+    np.zeros((1, n_params((2, 3, 1)))),
+    np.full(n_params((2, 3, 1)), np.nan),
+    np.concatenate((np.zeros(n_params((2, 3, 1)) - 1), [np.inf])),
+], ids=["short", "long", "2d", "nan", "inf"])
+def test_params_reject_wrong_length_or_non_finite_flat(flat):
     with pytest.raises(ValueError):
-        unflatten((2, 3, 1), np.zeros(5))
+        MlpParams((2, 3, 1), flat)
 
 
 def test_linear_region_gradient_exact():
@@ -151,6 +174,7 @@ def test_linear_region_gradient_exact():
     x = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
     pred, cache = forward(params, x)
     grads, input_grads = backward(params, cache, np.ones((2, 1)))
+    grads = MlpParams(params.layer_dims, grads)
     assert np.allclose(grads.weights[0], x.sum(axis=0, keepdims=True), atol=1e-14)
     assert np.allclose(grads.biases[0], np.array([2.0]), atol=1e-14)
     assert np.allclose(input_grads, np.tile(params.weights[0], (2, 1)), atol=1e-14)
@@ -198,6 +222,7 @@ def test_reused_workspace_matches_fresh_allocation_bitwise(n):
         assert input_grads is ws.input_grads
         assert np.array_equal(pred, ref_pred)
         assert np.array_equal(input_grads, ref_g)
+        grads = MlpParams(dims, grads)
         for got, want in zip(grads.weights + grads.biases, tuple(ref_w) + tuple(ref_b)):
             assert np.array_equal(got, want)
         own_pred, own_cache = forward(params, x)
@@ -258,8 +283,7 @@ def test_backward_without_input_grads_gives_the_same_parameter_grads():
     assert input_grads is not None
     lean, none = backward(params, forward(params, x)[1], cot, input_grads=False)
     assert none is None
-    for got, want in zip(lean.weights + lean.biases, full.weights + full.biases):
-        assert np.array_equal(got, want)
+    assert np.array_equal(lean, full)
 
 
 @pytest.mark.parametrize("dims,n", [((2, 3, 1), 5), ((2, 4, 1), 4), ((2, 3, 2), 4)])

@@ -5,20 +5,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "estimator_variance.py"), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def test_estimator_variance_table():
     """The script runs, prints only finite numbers, and its gauss_coord rows
     with d equal to the mesh dimension repeat the gaussian rows: with
     d == dim, draw_directions gives the gaussian directions bit for bit."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "estimator_variance.py"),
-         "--trials", "2", "--coarse-n", "5"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script("--trials", "2", "--coarse-n", "5")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "(dim 6)" in lines[0]
@@ -31,3 +36,13 @@ def test_estimator_variance_table():
     assert len(table) == 12
     for b in (1, 4, 8):
         assert table["gauss_coord", b, 6] == table["gaussian", b, 6]
+
+
+@pytest.mark.parametrize("trials", ["1", "0"])
+def test_estimator_variance_rejects_fewer_than_two_trials(trials):
+    """One trial has no sample variance; the script refuses it before any
+    solve instead of printing nan columns."""
+    proc = run_script("--trials", trials, "--coarse-n", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--trials" in proc.stderr

@@ -89,18 +89,18 @@ def test_loss_backward_theta_directional_fd():
     grads, _ = loss_backward(cache)
 
     rng = np.random.default_rng(10)
-    direction = rng.standard_normal(net.flatten(netp).size)
+    direction = rng.standard_normal(netp.flat.size)
     direction /= np.linalg.norm(direction)
     h = 1e-6
-    theta = net.flatten(netp)
+    theta = netp.flat
 
     def loss_at(vec):
-        p = net.unflatten(netp.layer_dims, vec)
+        p = net.MlpParams(netp.layer_dims, vec)
         l, _ = loss_from_coarse_field(coarse, p, scenario, coarse_field, fine, truth)
         return l
 
     fd = (loss_at(theta + h * direction) - loss_at(theta - h * direction)) / (2 * h)
-    analytic = float(net.flatten(grads) @ direction)
+    analytic = float(grads @ direction)
     assert analytic == pytest.approx(fd, rel=1e-4)
 
 
@@ -236,6 +236,10 @@ def test_config_validation():
         tiny_config(train_alphas=(0.9, -1.0)).validate()
     with pytest.raises(ConfigError):
         tiny_config(train_alphas=(0.9,), test_alphas=(0.9,)).validate()
+    with pytest.raises(ConfigError, match="train_alphas"):
+        tiny_config(train_alphas=(0.9, 0.9, 0.92)).validate()
+    with pytest.raises(ConfigError, match="test_alphas"):
+        tiny_config(test_alphas=(0.95, 0.95)).validate()
     with pytest.raises(ConfigError):
         tiny_config(warm_start_epochs=5, epochs=3).validate()
     with pytest.raises(ConfigError):
@@ -435,14 +439,14 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
         truth = solve_poisson(fine, scenario).field
         _, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
         grads, v = loss_backward(cache)
-        theta_grads.append(net.flatten(grads))
+        theta_grads.append(grads)
         spec = dataclasses.replace(est, seed=est.seed + k) if mode != "exact" else None
         v_scaled = Field(v.values / order.size, v.mesh_shape)
         mesh_g += mesh_grad(mode, coarse, v_scaled, scenario, spec,
                             base_output=coarse_field.values)
     _, want_theta = adam_step(
         init_adam(net.n_params(netp.layer_dims), config.lr),
-        net.flatten(netp),
+        netp.flat,
         np.mean(np.stack(theta_grads), axis=0),
     )
     _, want_p = adam_step(
@@ -460,7 +464,7 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
     monkeypatch.setattr(net, "Workspace", CountingWorkspace)
     _, state = train_run(config)
     assert built == [(net.DEFAULT_DIMS, fine.n_nodes)]
-    assert np.array_equal(net.flatten(state.net), want_theta)
+    assert np.array_equal(state.net.flat, want_theta)
     assert np.array_equal(state.mesh.x_lines, want_mesh.x_lines)
     assert np.array_equal(state.mesh.y_lines, want_mesh.y_lines)
     assert not np.array_equal(want_p, mesh_to_params(coarse))
@@ -477,7 +481,11 @@ def test_checkpoint_contents(tmp_path):
     assert dims == state.net.layer_dims
     w0 = np.array(data["net"]["weights"][0])
     assert np.array_equal(w0, state.net.weights[0])
+    assert data["net"]["seed"] == config.seed
     assert set(data["adam"].keys()) == {"net", "mesh"}
+    assert np.array_equal(np.array(data["adam"]["net"]["m"]), state.adam_net.m)
+    assert (data["adam"]["net"]["beta1"], data["adam"]["net"]["beta2"],
+            data["adam"]["net"]["eps"]) == (0.9, 0.999, 1e-8)
 
 
 def test_test_rmse_matches_manual_recompute(tmp_path):

@@ -10,10 +10,9 @@ from zo_meshopt.zo import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
     draw_directions,
-    estimator_stats,
-    zo_grad_scalar,
     zo_vjp,
 )
+from zo_scalar import estimator_stats, zo_grad_scalar
 
 
 def linear_map(a, c):
