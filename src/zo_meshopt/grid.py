@@ -118,14 +118,6 @@ class Field:
         nx, ny = self.mesh_shape
         return self.values.reshape(ny, nx)
 
-    @classmethod
-    def from_grid(cls, grid_values: np.ndarray) -> "Field":
-        grid = np.asarray(grid_values, dtype=float)
-        if grid.ndim != 2:
-            raise ValueError(f"grid values must be 2-D, got shape {grid.shape}")
-        ny, nx = grid.shape
-        return cls(grid.ravel(), (nx, ny))
-
 
 @dataclass(frozen=True)
 class ScenarioParams:

@@ -27,16 +27,17 @@ central-difference perturbation of ``exact_mesh_vjp`` moves one line, so
 its other axis is the base mesh's.  Factorizations are therefore kept in a
 least-recently-used cache keyed on the bytes of the lines (see
 ``_AXIS_CACHE_SIZE`` for the bound), and every cached array is read-only.
-Both gradient methods reach the solver through one routine,
-``_solve_block``: the estimators' ``make_evaluate`` hands it each projected
-block of b perturbed meshes, and the central-difference oracle
-``exact_mesh_vjp`` its 2 * D meshes.  A zeroth-order perturbation moves
-every line, so both axes of each perturbed mesh are new; ``_solve_block``
-therefore factorizes all the missing axes of its block before solving any
-of them, in one stacked ``eigh`` per line count.  A stacked ``eigh`` runs
-the same LAPACK call on each matrix, so every axis is bit for bit what it
-would be alone, and a single lookup that misses is the stack of one.  Then
-each mesh of the block is one ``solve`` call.  The cache saves
+One routine, ``_axes``, is the only lookup: it takes a list of keys and
+factorizes all the missing ones in one stacked ``eigh`` per line count.  A
+stacked ``eigh`` runs the same LAPACK call on each matrix, so every axis is
+bit for bit what it would be alone.  A single solve looks up its two axes;
+both gradient methods reach the solver through ``_solve_block``, which
+looks up every axis of its block first: the estimators' ``make_evaluate``
+hands it each projected block of b perturbed meshes, and the
+central-difference oracle ``exact_mesh_vjp`` its 2 * D meshes.  A
+zeroth-order perturbation moves every line, so both axes of each perturbed
+mesh are new and the whole block's are factorized as one stack.  Then each
+mesh of the block is one ``solve`` call.  The cache saves
 eigendecompositions, not solves: each call still builds its source, solves,
 checks its residual and returns its own report, so a caller that counts
 solver calls counts one per mesh.
@@ -90,7 +91,7 @@ class _Axis(NamedTuple):
     t: np.ndarray
 
 
-# Least recently used first; _store evicts down to _AXIS_CACHE_SIZE entries.
+# Least recently used first; _axes evicts down to _AXIS_CACHE_SIZE entries.
 _AXES: OrderedDict[bytes, _Axis] = OrderedDict()
 
 
@@ -123,31 +124,26 @@ def _factorize(lines: np.ndarray) -> list[_Axis]:
     return [_Axis(*arrays) for arrays in zip(*stacks)]
 
 
-def _store(keys: list[bytes]) -> list[_Axis]:
-    """Factorize the axes keyed by keys (distinct, none cached), one stacked
-    eigh per line count, and cache them, evicting the least recently used."""
-    by_size: dict[int, list[bytes]] = {}
+def _axes(keys: list[bytes]) -> list[_Axis]:
+    """The factorized axis of each key (the bytes of an axis's lines), in
+    order: the one cache lookup.  Cached keys move to the most recent end;
+    the distinct missing ones are factorized in one stacked eigh per line
+    count and cached.  The least recently used are evicted only after every
+    key's axis is read, so all are returned even if the cache cannot keep
+    them all."""
+    missing: dict[int, dict[bytes, None]] = {}
     for key in keys:
-        by_size.setdefault(len(key), []).append(key)
-    made = {}
-    for group in by_size.values():
+        if key in _AXES:
+            _AXES.move_to_end(key)
+        else:
+            missing.setdefault(len(key), {})[key] = None
+    for group in missing.values():
         stack = np.frombuffer(b"".join(group)).reshape(len(group), -1)
-        made.update(zip(group, _factorize(stack)))
-    _AXES.update(made)
+        _AXES.update(zip(group, _factorize(stack)))
+    axes = [_AXES[key] for key in keys]
     while len(_AXES) > _AXIS_CACHE_SIZE:
         _AXES.popitem(last=False)
-    return [made[key] for key in keys]
-
-
-def _axis(lines: np.ndarray) -> _Axis:
-    """The factorized operator of one axis, shared by every mesh with these
-    lines; a miss is a stack of one."""
-    key = np.asarray(lines, dtype=float).tobytes()
-    axis = _AXES.get(key)
-    if axis is None:
-        return _store([key])[0]
-    _AXES.move_to_end(key)
-    return axis
+    return axes
 
 
 def _apply_operator(ax: _Axis, ay: _Axis, w: np.ndarray) -> np.ndarray:
@@ -172,7 +168,7 @@ def _solve(
     nx, ny = mesh.shape
     if nx < 3 or ny < 3:
         raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
-    ax, ay = _axis(mesh.x_lines), _axis(mesh.y_lines)
+    ax, ay = _axes([mesh.x_lines.tobytes(), mesh.y_lines.tobytes()])
     rhs = np.asarray(rhs_fn(mesh.x_lines[1:-1], mesh.y_lines[1:-1, None]), dtype=float)
     u = _solve_interior(ax, ay, rhs) / params.alpha
     # A NaN or inf anywhere in u makes the residual NaN or inf.
@@ -213,20 +209,11 @@ def _solve_block(
     params: ScenarioParams,
     solve: Callable[[TensorMesh, ScenarioParams], SolveReport],
 ) -> np.ndarray:
-    """The (b, n) solved field values of a block of b meshes with n nodes
-    each: every axis of the block that is not cached yet is factorized
-    first, in one stacked eigh per line count, then each mesh is one counted
-    ``solve`` call.  The only place that solves a block."""
-    missing = []
-    for key in dict.fromkeys(
-        lines.tobytes() for mesh in meshes for lines in (mesh.x_lines, mesh.y_lines)
-    ):
-        if key in _AXES:
-            _AXES.move_to_end(key)
-        else:
-            missing.append(key)
-    if missing:
-        _store(missing)
+    """The (b, n) solved field values of a block of b >= 1 meshes with n
+    nodes each: every axis of the block is looked up first, in one ``_axes``
+    call, then each mesh is one counted ``solve`` call.  The only place that
+    solves a block."""
+    _axes([lines.tobytes() for mesh in meshes for lines in (mesh.x_lines, mesh.y_lines)])
     out = np.empty((len(meshes), meshes[0].n_nodes))
     for row, mesh in zip(out, meshes):
         row[:] = solve(mesh, params).field.values
@@ -244,11 +231,14 @@ def make_evaluate(
 
     This is the only view of the solver that gradient-estimation code gets.
     The block is projected in one pass and handed to ``_solve_block``, so
-    each row is one ``solve`` call.
+    each row is one ``solve`` call; an empty block makes none.
     """
 
     def evaluate(p: np.ndarray) -> np.ndarray:
-        return _solve_block(params_to_meshes(template, p), params, solve)
+        meshes = params_to_meshes(template, p)
+        if not meshes:
+            return np.empty((0, template.n_nodes))
+        return _solve_block(meshes, params, solve)
 
     return evaluate
 

@@ -353,8 +353,6 @@ def test_field_grid_views():
     g = f.as_grid()
     assert g.shape == (3, 3)
     assert g[1, 2] == 5.0
-    f2 = Field.from_grid(g)
-    assert np.array_equal(f2.values, f.values)
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -74,7 +74,7 @@ def test_assembly_matches_dense_oracle():
         nx, ny = mesh.shape
         a_oracle = dense_operator_oracle(mesh)
         scale = np.max(np.abs(a_oracle))
-        ax, ay = solver_mod._axis(mesh.x_lines), solver_mod._axis(mesh.y_lines)
+        ax, ay = solver_mod._axes([mesh.x_lines.tobytes(), mesh.y_lines.tobytes()])
         for k in range(a_oracle.shape[0]):
             e = np.zeros((ny - 2) * (nx - 2))
             e[k] = 1.0
@@ -218,6 +218,17 @@ def test_make_evaluate_block_equals_per_row_solves(shape):
         assert row.tobytes() == want.tobytes()
 
 
+def test_make_evaluate_of_an_empty_block_solves_nothing():
+    from zo_meshopt.train import SolveCounter
+
+    mesh = uniform_mesh(5)
+    counter = SolveCounter()
+    evaluate = make_evaluate(mesh, ScenarioParams(1.0), solve=counter.wrap(solve_poisson))
+    out = evaluate(np.empty((0, mesh.n_params)))
+    assert out.shape == (0, mesh.n_nodes)
+    assert counter.count == 0
+
+
 def test_exact_mesh_vjp_matches_dense_jacobian():
     """Central-difference VJP against a column-by-column Jacobian build."""
     mesh = uniform_mesh(5)
@@ -255,14 +266,20 @@ def axis_misses(monkeypatch):
     return misses
 
 
+def _lookup(lines):
+    """The cached axis of one set of lines, through the one lookup."""
+    (axis,) = solver_mod._axes([lines.tobytes()])
+    return axis
+
+
 def test_cached_axes_equal_fresh_factorizations_and_are_read_only():
     solver_mod._AXES.clear()
     for mesh in _oracle_meshes():
         solve_poisson(mesh, ScenarioParams(alpha=0.9))
         for lines in (mesh.x_lines, mesh.y_lines):
-            cached = solver_mod._axis(lines)
+            cached = _lookup(lines)
             (fresh,) = solver_mod._factorize(lines[None])
-            assert cached is solver_mod._axis(lines.copy())
+            assert cached is _lookup(lines.copy())
             for name, got, want in zip(solver_mod._Axis._fields, cached, fresh):
                 assert np.array_equal(got, want), name
                 assert not got.flags.writeable, name
@@ -297,7 +314,7 @@ def test_stacked_factorizations_equal_one_axis_factorizations(counts, seed):
         _assert_same_axis(got, solver_mod._factorize(lines[None])[0])
 
     solver_mod._AXES.clear()
-    kept = solver_mod._axis(axes[0])
+    kept = _lookup(axes[0])
     meshes = [TensorMesh(x, y) for x, y in zip(axes, axes[1:] + axes[:1])]
     n_axes = len({lines.tobytes() for lines in axes})
     solved = []
@@ -312,9 +329,47 @@ def test_stacked_factorizations_equal_one_axis_factorizations(counts, seed):
     solver_mod._solve_block(meshes, ScenarioParams(1.0), solve)
     assert solved == meshes
     assert len(solver_mod._AXES) == n_axes
-    assert solver_mod._axis(axes[0]) is kept
+    assert _lookup(axes[0]) is kept
     for lines in axes:
-        _assert_same_axis(solver_mod._axis(lines), solver_mod._factorize(lines[None])[0])
+        _assert_same_axis(_lookup(lines), solver_mod._factorize(lines[None])[0])
+
+
+def test_lookup_of_more_new_axes_than_the_cache_holds(monkeypatch):
+    """One _axes call with 130 new axes of one line count, a repeated key
+    and an already-cached key factorizes the new ones in one stack and
+    returns every axis in order, bit for bit its one-axis factorization,
+    though the cache keeps at most _AXIS_CACHE_SIZE of them."""
+    rng = np.random.default_rng(13)
+    solver_mod._AXES.clear()
+    cached = _spread_lines(rng, 9)
+    kept = _lookup(cached)
+    new = [_spread_lines(rng, 9) for _ in range(130)]
+    lines = [new[0], cached, *new[1:70], new[5], *new[70:]]
+    stacks = []
+    factorize = solver_mod._factorize
+    monkeypatch.setattr(solver_mod, "_factorize",
+                        lambda stack: stacks.append(stack.copy()) or factorize(stack))
+    got = solver_mod._axes([x.tobytes() for x in lines])
+    assert len(stacks) == 1
+    assert stacks[0].tobytes() == np.stack(new).tobytes()
+    assert len(got) == len(lines)
+    assert got[1] is kept
+    assert got[71] is got[6]
+    for axis, x in zip(got, lines):
+        _assert_same_axis(axis, factorize(x[None])[0])
+    assert len(solver_mod._AXES) <= solver_mod._AXIS_CACHE_SIZE
+
+
+def test_block_of_more_new_axes_than_the_cache_holds_equals_one_mesh_solves():
+    rng = np.random.default_rng(14)
+    solver_mod._AXES.clear()
+    meshes = [TensorMesh(_random_lines(rng, 6), _random_lines(rng, 5)) for _ in range(70)]
+    params = ScenarioParams(0.97)
+    got = solver_mod._solve_block(meshes, params, solve_poisson)
+    assert got.shape == (len(meshes), meshes[0].n_nodes)
+    for row, mesh in zip(got, meshes):
+        assert row.tobytes() == solve_poisson(mesh, params).field.values.tobytes()
+    assert len(solver_mod._AXES) <= solver_mod._AXIS_CACHE_SIZE
 
 
 def test_exact_oracle_factorizes_each_axis_once_across_alphas(axis_misses):
