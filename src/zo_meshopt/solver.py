@@ -37,15 +37,20 @@ hands it each projected block of b perturbed meshes, and the
 central-difference oracle ``exact_mesh_vjp`` its 2 * D meshes.  A
 zeroth-order perturbation moves every line, so both axes of each perturbed
 mesh are new and the whole block's are factorized as one stack.  Then each
-mesh of the block is one ``solve`` call.  The cache saves
+mesh of the block is one ``solve_poisson`` call.  The cache saves
 eigendecompositions, not solves: each call still builds its source, solves,
-checks its residual and returns its own report, so a caller that counts
-solver calls counts one per mesh.
+checks its residual and returns its own report.
 
 The oracle's perturbed meshes depend only on the base mesh and the step h,
 not on the scenario, so ``exact_mesh_vjp`` projects them once per base mesh
 (a one-entry memo keyed like the axis cache) and every scenario alpha of an
 epoch solves the same 2 * D meshes as one block.
+
+The solver counts its own calls.  Every one-mesh solve adds one to a
+process-wide count, read by ``solve_count()``, before it runs, so a solve
+that raises counts too.  A caller measures its budget as the difference of
+two readings; ``train_run`` records that difference as ``n_solver_evals``.
+The package solves on one thread, so the count takes no lock.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ RESIDUAL_TOL = 1e-10
 # mesh, so one batch needs 4 (n - 2) + 2 axes (62 at coarse 17, 126 at
 # coarse 33), plus the fine mesh's one or two.
 _AXIS_CACHE_SIZE = 128
+
+# One-mesh solves started in this process; see solve_count().
+_solves = 0
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,12 @@ def _axes(keys: list[bytes]) -> list[_Axis]:
     return axes
 
 
+def solve_count() -> int:
+    """One-mesh solves started in this process so far, those that raised
+    included."""
+    return _solves
+
+
 def _apply_operator(ax: _Axis, ay: _Axis, w: np.ndarray) -> np.ndarray:
     """The 5-point negative Laplacian on an (ny - 2, nx - 2) interior grid."""
     return w @ ax.t.T + ay.t @ w
@@ -164,7 +178,9 @@ def _solve(
     rhs_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> SolveReport:
     """rhs_fn gets the interior x lines as a row and y lines as a column and
-    returns the (ny - 2, nx - 2) source grid."""
+    returns the (ny - 2, nx - 2) source grid.  Counted before it runs."""
+    global _solves
+    _solves += 1
     nx, ny = mesh.shape
     if nx < 3 or ny < 3:
         raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
@@ -204,41 +220,34 @@ def solve_manufactured(mesh: TensorMesh, params: ScenarioParams) -> SolveReport:
     )
 
 
-def _solve_block(
-    meshes: Sequence[TensorMesh],
-    params: ScenarioParams,
-    solve: Callable[[TensorMesh, ScenarioParams], SolveReport],
-) -> np.ndarray:
+def _solve_block(meshes: Sequence[TensorMesh], params: ScenarioParams) -> np.ndarray:
     """The (b, n) solved field values of a block of b >= 1 meshes with n
     nodes each: every axis of the block is looked up first, in one ``_axes``
-    call, then each mesh is one counted ``solve`` call.  The only place that
-    solves a block."""
+    call, then each mesh is one ``solve_poisson`` call, so the block adds b
+    to ``solve_count()``.  The only place that solves a block."""
     _axes([lines.tobytes() for mesh in meshes for lines in (mesh.x_lines, mesh.y_lines)])
     out = np.empty((len(meshes), meshes[0].n_nodes))
     for row, mesh in zip(out, meshes):
-        row[:] = solve(mesh, params).field.values
+        row[:] = solve_poisson(mesh, params).field.values
     return out
 
 
 def make_evaluate(
-    template: TensorMesh,
-    params: ScenarioParams,
-    *,
-    solve: Callable[[TensorMesh, ScenarioParams], SolveReport] = solve_poisson,
+    template: TensorMesh, params: ScenarioParams
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Opaque forward interface: a (b, D) block of mesh-parameter rows in,
     the (b, n) block of their solved field values out.
 
     This is the only view of the solver that gradient-estimation code gets.
     The block is projected in one pass and handed to ``_solve_block``, so
-    each row is one ``solve`` call; an empty block makes none.
+    each row is one counted solve; an empty block makes none.
     """
 
     def evaluate(p: np.ndarray) -> np.ndarray:
         meshes = params_to_meshes(template, p)
         if not meshes:
             return np.empty((0, template.n_nodes))
-        return _solve_block(meshes, params, solve)
+        return _solve_block(meshes, params)
 
     return evaluate
 
@@ -264,18 +273,13 @@ def _perturbed_meshes_of(
 
 
 def exact_mesh_vjp(
-    mesh: TensorMesh,
-    params: ScenarioParams,
-    v: Field,
-    h: float = 1e-6,
-    *,
-    solve: Callable[[TensorMesh, ScenarioParams], SolveReport] = solve_poisson,
+    mesh: TensorMesh, params: ScenarioParams, v: Field, h: float = 1e-6
 ) -> np.ndarray:
     """Central-difference oracle for the mesh-parameter VJP.
 
     Component k is <v, (O(p + h e_k) - O(p - h e_k))> / (2 h) where O maps
-    mesh parameters to solved field values.  Costs 2 * D solves, each one
-    counted solver call, so ``n_solver_evals`` grows by 2 * D per call.  The
+    mesh parameters to solved field values.  Costs 2 * D solves, so
+    ``solve_count()`` and ``n_solver_evals`` grow by 2 * D per call.  The
     perturbed meshes are projected once per base mesh and step, reused for
     every scenario, and solved as one block by ``_solve_block``, the
     estimators' path too.  Each moves one line: it brings that one new axis
@@ -287,7 +291,7 @@ def exact_mesh_vjp(
         raise ValueError(f"cotangent shape {v.mesh_shape} does not match mesh {mesh.shape}")
     if h <= 0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    fields = _solve_block(_perturbed_meshes(mesh, h), params, solve)
+    fields = _solve_block(_perturbed_meshes(mesh, h), params)
     grad = np.empty(mesh.n_params)
     for k in range(grad.size):
         grad[k] = float(v.values @ (fields[2 * k] - fields[2 * k + 1])) / (2.0 * h)

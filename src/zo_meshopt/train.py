@@ -4,8 +4,9 @@ Network weights always get exact reverse-mode gradients.  Mesh parameters get
 nothing (frozen), a central-difference oracle (exact), or a zeroth-order
 estimate assembled from forward solves only; during the warm-start epochs the
 mesh is held frozen regardless of mode, which costs no extra solves.  The
-trainer only ever touches the solver through counted callables, so the
-per-epoch eval numbers in the metrics are exact budgets.
+solver counts its own calls (``solver.solve_count()``), and each epoch's
+``n_solver_evals`` is that count less its reading at the start of the run,
+so the per-epoch eval numbers in the metrics are exact budgets.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .grid import (
     write_text_atomic,
 )
 from .optim import BETA1, BETA2, EPS, AdamState, NonFiniteGradient, adam_step, init_adam
-from .solver import exact_mesh_vjp, make_evaluate, solve_poisson
+from .solver import exact_mesh_vjp, make_evaluate, solve_count, solve_poisson
 from .zo import ESTIMATOR_KINDS, EstimatorSpec, zo_vjp
 
 log = logging.getLogger(__name__)
@@ -153,20 +154,6 @@ class TrainState:
     test_outputs: tuple[tuple[float, Field, Field], ...] = ()
 
 
-class SolveCounter:
-    """Counts every solver invocation routed through wrap()."""
-
-    def __init__(self):
-        self.count = 0
-
-    def wrap(self, solve):
-        def counted(mesh, scenario):
-            self.count += 1
-            return solve(mesh, scenario)
-
-        return counted
-
-
 @dataclass(frozen=True)
 class LossCache:
     coarse_mesh: TensorMesh
@@ -222,11 +209,10 @@ def loss_forward(
     fine_mesh: TensorMesh,
     fine_field: Field,
     *,
-    solve=solve_poisson,
     workspace: net.Workspace | None = None,
 ) -> tuple[float, LossCache, Field]:
     """Coarse solve, nearest upsample, network correction, MSE against truth."""
-    coarse_field = solve(coarse_mesh, scenario).field
+    coarse_field = solve_poisson(coarse_mesh, scenario).field
     loss, cache = loss_from_coarse_field(
         coarse_mesh, net_params, scenario, coarse_field, fine_mesh, fine_field,
         workspace=workspace,
@@ -265,7 +251,6 @@ def mesh_grad(
     spec: EstimatorSpec | None = None,
     *,
     base_output: np.ndarray | None = None,
-    solve=solve_poisson,
 ) -> np.ndarray:
     """Mesh-parameter gradient for one scenario.
 
@@ -273,12 +258,12 @@ def mesh_grad(
     estimator modes cost exactly b solves and require the caller's base
     output and a spec whose kind is mode (TrainConfig derives it, with
     gauss_coord's d capped at D).  ``declared_evals`` states these costs;
-    a ``SolveCounter`` around ``solve`` measures them.
+    the difference of two ``solver.solve_count()`` readings measures them.
     """
     if mode == "frozen":
         return np.zeros(mesh.n_params)
     if mode == "exact":
-        return exact_mesh_vjp(mesh, scenario, v_coarse, solve=solve)
+        return exact_mesh_vjp(mesh, scenario, v_coarse)
     if mode not in ESTIMATOR_KINDS:
         raise ConfigError(f"unknown mesh mode {mode!r}, expected one of {MESH_MODES}")
     if spec is None:
@@ -287,7 +272,7 @@ def mesh_grad(
         raise ConfigError(f"estimator kind {spec.kind!r} does not match mesh mode {mode!r}")
     if base_output is None:
         raise ValueError("estimator modes need the base coarse solve's values")
-    evaluate = make_evaluate(mesh, scenario, solve=solve)
+    evaluate = make_evaluate(mesh, scenario)
     return zo_vjp(evaluate, mesh_to_params(mesh), base_output, v_coarse.values, spec)
 
 
@@ -320,7 +305,8 @@ def declared_evals(config: TrainConfig, epochs_done: int | None = None) -> int:
 
     Counts the one-off fine ground-truth solves, the per-epoch train forward
     and test evaluation solves, and the per-scenario mesh-gradient solves in
-    joint epochs.  train_run's instrumented counter must match this exactly.
+    joint epochs.  train_run's ``n_solver_evals``, the solver's own count of
+    the calls the run made, must match this exactly.
     Raises ValueError unless 0 <= epochs_done <= config.epochs.
     """
     done = config.epochs if epochs_done is None else epochs_done
@@ -404,8 +390,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    counter = SolveCounter()
-    solve = counter.wrap(solve_poisson)
+    solves0 = solve_count()
 
     fine_mesh = uniform_mesh(config.fine_n)
     workspace = net.Workspace(net.DEFAULT_DIMS, fine_mesh.n_nodes)
@@ -413,7 +398,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
 
     def fine_truth(alpha: float) -> Field:
         if alpha not in truths:
-            truths[alpha] = solve(fine_mesh, ScenarioParams(alpha)).field
+            truths[alpha] = solve_poisson(fine_mesh, ScenarioParams(alpha)).field
         return truths[alpha]
 
     coarse = initial_coarse_mesh(config)
@@ -421,7 +406,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     netp = net.init_params(net.DEFAULT_DIMS, config.seed)
     mesh_lr = config.lr if config.mesh_lr is None else config.mesh_lr
     adam_net = init_adam(netp.flat.size, config.lr)
-    adam_mesh = init_adam(max(params0.size, 1), mesh_lr)
+    adam_mesh = init_adam(params0.size, mesh_lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     est_calls = 0
     metrics: list[EpochMetrics] = []
@@ -444,7 +429,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     scenario = ScenarioParams(alpha)
                     loss, cache, coarse_field = loss_forward(
                         coarse, netp, scenario, fine_mesh, fine_truth(alpha),
-                        solve=solve, workspace=workspace,
+                        workspace=workspace,
                     )
                     losses.append(loss)
                     grads, v_coarse = loss_backward(cache, mesh_cotangent=joint)
@@ -464,7 +449,6 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                             scenario,
                             spec,
                             base_output=coarse_field.values,
-                            solve=solve,
                         )
                 batch_losses.append(float(np.mean(losses)))
                 theta_grad = np.mean(np.stack(theta_grads), axis=0)
@@ -485,7 +469,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     truth = fine_truth(alpha)
                     _, cache, _ = loss_forward(
                         coarse, netp, ScenarioParams(alpha), fine_mesh, truth,
-                        solve=solve, workspace=workspace,
+                        workspace=workspace,
                     )
                     # Field copies the predictions out of the workspace.
                     pred = Field(cache.predictions[:, 0], fine_mesh.shape)
@@ -498,7 +482,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     epoch=epoch,
                     train_loss=float(np.mean(batch_losses)),
                     test_rmse=test_rmse,
-                    n_solver_evals=counter.count,
+                    n_solver_evals=solve_count() - solves0,
                     mesh_delta=float(np.linalg.norm(mesh_to_params(coarse) - params0)),
                     wall_time=time.perf_counter() - start,
                 )

@@ -11,6 +11,7 @@ from zo_meshopt.solver import (
     SolveReport,
     exact_mesh_vjp,
     make_evaluate,
+    solve_count,
     solve_manufactured,
     solve_poisson,
 )
@@ -200,7 +201,6 @@ def test_make_evaluate_block_equals_per_row_solves(shape):
     """Each row of one batched call is that row's own projected solve, bit
     for bit, and the call makes exactly one counted solve per row."""
     from zo_meshopt.grid import mesh_to_params, params_to_mesh
-    from zo_meshopt.train import SolveCounter
 
     rng = np.random.default_rng(12)
     mesh = TensorMesh(_random_lines(rng, shape[0]), _random_lines(rng, shape[1]))
@@ -209,9 +209,9 @@ def test_make_evaluate_block_equals_per_row_solves(shape):
     block = p0 + 1e-3 * rng.standard_normal((8, p0.size))
     block[3] = p0
     block[5, :2] = 0.5  # two lines on one spot: the sweep runs
-    counter = SolveCounter()
-    got = make_evaluate(mesh, params, solve=counter.wrap(solve_poisson))(block)
-    assert counter.count == block.shape[0]
+    before = solve_count()
+    got = make_evaluate(mesh, params)(block)
+    assert solve_count() - before == block.shape[0]
     assert got.shape == (block.shape[0], mesh.n_nodes)
     for row, p in zip(got, block):
         want = solve_poisson(params_to_mesh(mesh, p), params).field.values
@@ -219,14 +219,12 @@ def test_make_evaluate_block_equals_per_row_solves(shape):
 
 
 def test_make_evaluate_of_an_empty_block_solves_nothing():
-    from zo_meshopt.train import SolveCounter
-
     mesh = uniform_mesh(5)
-    counter = SolveCounter()
-    evaluate = make_evaluate(mesh, ScenarioParams(1.0), solve=counter.wrap(solve_poisson))
+    evaluate = make_evaluate(mesh, ScenarioParams(1.0))
+    before = solve_count()
     out = evaluate(np.empty((0, mesh.n_params)))
     assert out.shape == (0, mesh.n_nodes)
-    assert counter.count == 0
+    assert solve_count() == before
 
 
 def test_exact_mesh_vjp_matches_dense_jacobian():
@@ -326,7 +324,9 @@ def test_stacked_factorizations_equal_one_axis_factorizations(counts, seed):
         solved.append(mesh)
         return SolveReport(Field(np.zeros(meshes[0].n_nodes), meshes[0].shape), 0.0)
 
-    solver_mod._solve_block(meshes, ScenarioParams(1.0), solve)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "solve_poisson", solve)
+        solver_mod._solve_block(meshes, ScenarioParams(1.0))
     assert solved == meshes
     assert len(solver_mod._AXES) == n_axes
     assert _lookup(axes[0]) is kept
@@ -365,7 +365,7 @@ def test_block_of_more_new_axes_than_the_cache_holds_equals_one_mesh_solves():
     solver_mod._AXES.clear()
     meshes = [TensorMesh(_random_lines(rng, 6), _random_lines(rng, 5)) for _ in range(70)]
     params = ScenarioParams(0.97)
-    got = solver_mod._solve_block(meshes, params, solve_poisson)
+    got = solver_mod._solve_block(meshes, params)
     assert got.shape == (len(meshes), meshes[0].n_nodes)
     for row, mesh in zip(got, meshes):
         assert row.tobytes() == solve_poisson(mesh, params).field.values.tobytes()

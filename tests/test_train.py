@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zo_meshopt.solver as solver_mod
 import zo_meshopt.train as train_mod
 from zo_meshopt import net
 from zo_meshopt.cli import load_config
@@ -21,11 +22,10 @@ from zo_meshopt.grid import (
     upsample_adjoint,
 )
 from zo_meshopt.optim import adam_step, init_adam
-from zo_meshopt.solver import solve_poisson
+from zo_meshopt.solver import solve_count, solve_poisson
 from zo_meshopt.train import (
     INCOMPLETE_MARKER,
     METRICS_HEADER,
-    SolveCounter,
     TrainConfig,
     declared_evals,
     initial_coarse_mesh,
@@ -142,10 +142,9 @@ def test_mesh_grad_contracts():
     v = Field(np.ones(coarse.n_nodes), coarse.shape)
 
     def solves_of(mode, spec=None, base_output=None):
-        counter = SolveCounter()
-        g = mesh_grad(mode, coarse, v, scenario, spec, base_output=base_output,
-                      solve=counter.wrap(solve_poisson))
-        return g, counter.count
+        before = solve_count()
+        g = mesh_grad(mode, coarse, v, scenario, spec, base_output=base_output)
+        return g, solve_count() - before
 
     g, n = solves_of("frozen")
     assert n == 0 and np.all(g == 0.0)
@@ -358,6 +357,37 @@ def test_solver_error_flushes_incomplete_marker(tmp_path, monkeypatch):
     text = (tmp_path / "boom" / "metrics.csv").read_text()
     assert text.rstrip().endswith(INCOMPLETE_MARKER)
     assert text.startswith(METRICS_HEADER)
+
+
+def test_solve_count_is_read_per_run_after_a_failed_run(tmp_path, monkeypatch):
+    """The solver's count is process-wide, but each run reports only its own
+    calls: after a run dies on a SolverError part-way, having counted the
+    solve that raised, every epoch of every cell of a sweep still reports
+    its declared budget."""
+    real_interior = solver_mod._solve_interior
+    calls = {"n": 0}
+
+    def failing(*args):
+        calls["n"] += 1
+        out = real_interior(*args)
+        return out if calls["n"] < 12 else np.full_like(out, np.nan)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_mod, "_solve_interior", failing)
+        before = solve_count()
+        with pytest.raises(SolverError):
+            train_run(tiny_config(mesh_mode="exact", out_dir=str(tmp_path / "boom")))
+        assert solve_count() - before == 12
+    cells = {
+        (mode,): tiny_config(mesh_mode=mode, estimator=EstimatorSpec(kind="gaussian", b=2),
+                             out_dir=str(tmp_path / mode))
+        for mode in ("frozen", "exact", "gaussian")
+    }
+    results = sweep(tmp_path / "sweep", "modes", ("mesh_mode",), cells)
+    for (key, metrics), config in zip(results, cells.values()):
+        assert len(metrics) == config.epochs
+        for m in metrics:
+            assert m.n_solver_evals == declared_evals(config, m.epoch + 1), key
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
