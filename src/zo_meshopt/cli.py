@@ -14,7 +14,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, SolverError
-from .grid import write_field_csv
 from .train import MESH_MODES, TrainConfig, sweep, train_run
 from .zo import ESTIMATOR_KINDS, EstimatorSpec
 
@@ -123,20 +122,6 @@ def apply_overrides(config: TrainConfig, args: argparse.Namespace) -> TrainConfi
     return replace(config, estimator=replace(config.estimator, **est), **updates)
 
 
-def _check_test_outputs(config: TrainConfig) -> None:
-    """Each test alpha writes pred/truth CSVs named by its {alpha:g}; two
-    alphas with one name would overwrite each other's files."""
-    seen: dict[str, float] = {}
-    for alpha in config.test_alphas:
-        name = f"{alpha:g}"
-        if name in seen:
-            raise ConfigError(
-                f"test alphas {seen[name]!r} and {alpha!r} both write "
-                f"pred_alpha_{name}.csv; they must differ in their first 6 significant digits"
-            )
-        seen[name] = alpha
-
-
 def _final(metrics: list, name: str) -> str:
     """The summary of a cell's last epoch, or of a run with none."""
     if not metrics:
@@ -146,14 +131,7 @@ def _final(metrics: list, name: str) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = apply_overrides(load_config(args.config), args)
-    # First, so a repeated test alpha is reported with the file it would share.
-    _check_test_outputs(config)
-    config.validate()
-    metrics, state = train_run(config)
-    out = Path(config.out_dir)
-    for alpha, pred, truth in state.test_outputs:
-        write_field_csv(pred, out / f"pred_alpha_{alpha:g}.csv")
-        write_field_csv(truth, out / f"truth_alpha_{alpha:g}.csv")
+    metrics, _ = train_run(config)
     if metrics:
         last = metrics[-1]
         print(
@@ -163,7 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     else:
         print("trained 0 epochs")
-    print(f"outputs in {out}")
+    print(f"outputs in {Path(config.out_dir)}")
     return 0
 
 

@@ -31,6 +31,7 @@ from .grid import (
     params_to_mesh,
     uniform_mesh,
     upsample_adjoint,
+    write_field_csv,
     write_text_atomic,
 )
 from .optim import BETA1, BETA2, EPS, AdamState, NonFiniteGradient, adam_step, init_adam
@@ -106,10 +107,22 @@ class TrainConfig:
         for a in (*self.train_alphas, *self.test_alphas):
             if not np.isfinite(a) or a <= 0:
                 raise ConfigError(f"alphas must be positive and finite, got {a}")
-        for name in ("train_alphas", "test_alphas"):
-            alphas = getattr(self, name)
-            if len(set(alphas)) != len(alphas):
-                raise ConfigError(f"{name} must not repeat an alpha, got {list(alphas)}")
+        if len(set(self.train_alphas)) != len(self.train_alphas):
+            raise ConfigError(
+                f"train_alphas must not repeat an alpha, got {list(self.train_alphas)}"
+            )
+        # Each test alpha writes pred/truth CSVs named by its {alpha:g}; two
+        # alphas with one name, equal ones included, would share those files.
+        seen: dict[str, float] = {}
+        for alpha in self.test_alphas:
+            name = f"{alpha:g}"
+            if name in seen:
+                raise ConfigError(
+                    f"test_alphas {seen[name]!r} and {alpha!r} both write "
+                    f"pred_alpha_{name}.csv; they must differ in their first 6 significant "
+                    "digits"
+                )
+            seen[name] = alpha
         if set(self.train_alphas) & set(self.test_alphas):
             raise ConfigError("train and test alphas must be disjoint")
         if self.epochs < 0:
@@ -147,18 +160,12 @@ class TrainState:
     net: net.MlpParams
     adam_net: AdamState
     adam_mesh: AdamState
-    epoch: int
-    # (alpha, prediction, fine truth) per test scenario from the last epoch's
-    # test evaluation, i.e. with the final mesh and network; empty if no
-    # epoch ran.
-    test_outputs: tuple[tuple[float, Field, Field], ...] = ()
 
 
 @dataclass(frozen=True)
 class LossCache:
     coarse_mesh: TensorMesh
     fine_mesh: TensorMesh
-    net_params: net.MlpParams
     net_cache: net.ForwardCache
     predictions: np.ndarray
     fine_field: Field
@@ -199,7 +206,7 @@ def loss_from_coarse_field(
     preds, cache = net.forward(net_params, feats, workspace)
     resid = preds[:, 0] - fine_field.values
     loss = float(resid @ resid / resid.size)
-    return loss, LossCache(coarse_mesh, fine_mesh, net_params, cache, preds, fine_field)
+    return loss, LossCache(coarse_mesh, fine_mesh, cache, preds, fine_field)
 
 
 def loss_forward(
@@ -234,7 +241,7 @@ def loss_backward(
     n = cache.predictions.shape[0]
     cot = 2.0 * (cache.predictions - cache.fine_field.values[:, None]) / n
     grads, input_grads = net.backward(
-        cache.net_params, cache.net_cache, cot, input_grads=mesh_cotangent
+        cache.net_cache.params, cache.net_cache, cot, input_grads=mesh_cotangent
     )
     if not mesh_cotangent:
         return grads, None
@@ -375,17 +382,20 @@ def write_checkpoint(path: str | Path, config: TrainConfig, state: TrainState) -
             "net": _adam_to_dict(state.adam_net),
             "mesh": _adam_to_dict(state.adam_mesh),
         },
-        "epoch": state.epoch,
+        "epoch": config.epochs,
     }
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
-    """Run the full training loop; writes metrics.csv and checkpoint.json.
+    """Run the full training loop and write the run's files into out_dir:
+    checkpoint.json, the last epoch's pred/truth CSVs per test alpha, and
+    metrics.csv last.
 
     On any exception, KeyboardInterrupt included, the metrics collected so
     far are flushed with a trailing incomplete marker and the exception
-    re-raised.
+    re-raised, so a metrics.csv without the marker vouches for every file
+    beside it.
     """
     config.validate()
     out = Path(config.out_dir)
@@ -487,12 +497,15 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     wall_time=time.perf_counter() - start,
                 )
             )
+        state = TrainState(coarse, netp, adam_net, adam_mesh)
+        write_checkpoint(out / "checkpoint.json", config, state)
+        for alpha, pred, truth in test_outputs:
+            write_field_csv(pred, out / f"pred_alpha_{alpha:g}.csv")
+            write_field_csv(truth, out / f"truth_alpha_{alpha:g}.csv")
+        write_metrics_csv(out / "metrics.csv", metrics)
     except BaseException:
         write_metrics_csv(out / "metrics.csv", metrics, incomplete=True)
         raise
-    write_metrics_csv(out / "metrics.csv", metrics)
-    state = TrainState(coarse, netp, adam_net, adam_mesh, config.epochs, tuple(test_outputs))
-    write_checkpoint(out / "checkpoint.json", config, state)
     return metrics, state
 
 

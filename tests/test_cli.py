@@ -264,12 +264,15 @@ def test_sweep_bd_trains_each_distinct_cell_once(tmp_path):
 @pytest.mark.parametrize("what,overrides,message", [
     ("scales", {"fine_n": 9}, "coarse_n=9 must be smaller than fine_n=9"),
     ("modes", {"estimator": {"b": 0}}, "draw count b must be at least 1, got 0"),
-], ids=["scales", "modes"])
+    ("modes", {"test_alphas": [0.9123451, 0.9123452]},
+     "test_alphas 0.9123451 and 0.9123452 both write pred_alpha_0.912345.csv"),
+], ids=["scales", "modes", "test-alpha-clash"])
 def test_sweep_checks_every_cell_before_training(tmp_path, capsys, monkeypatch, what,
                                                  overrides, message):
-    """At fine 9 the coarse-9 cell is invalid, and with b = 0 every
-    estimator cell is: the sweep exits 2 before the valid cells (coarse 5
-    and 7; frozen and exact) train."""
+    """At fine 9 the coarse-9 cell is invalid, with b = 0 every estimator
+    cell is, and with two test alphas of one file name every cell is: the
+    sweep exits 2 before the valid cells (coarse 5 and 7; frozen and exact)
+    train."""
     trained = []
     monkeypatch.setattr(train_mod, "train_run", lambda cfg: trained.append(cfg) or ([], None))
     cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "sw"), **overrides)
@@ -277,6 +280,28 @@ def test_sweep_checks_every_cell_before_training(tmp_path, capsys, monkeypatch, 
     assert message in capsys.readouterr().err
     assert trained == []
     assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_modes_cells_write_the_runs_files(tmp_path):
+    """Each cell of a sweep writes the files a train run writes, and its
+    pred/truth CSVs are the ones its final test_rmse was measured on."""
+    cfg = write_config(tmp_path / "c.json", test_alphas=[1.0, 1.2], estimator={"b": 2},
+                       out_dir=str(tmp_path / "sw"))
+    assert cli.main(["sweep", "modes", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "sw" / "modes.csv").read_text().splitlines()[1:]
+    # each cell's last row, its final epoch, is the one kept per mode
+    final = {r.split(",")[0]: float(r.split(",")[3]) for r in rows}
+    assert sorted(final) == sorted(train_mod.MESH_MODES)
+    for mode, test_rmse in final.items():
+        cell = tmp_path / "sw" / f"mode_{mode}"
+        per = [
+            train_mod.rmse(read_field_csv(cell / f"pred_alpha_{a:g}.csv"),
+                           read_field_csv(cell / f"truth_alpha_{a:g}.csv"))
+            for a in (1.0, 1.2)
+        ]
+        assert float(np.mean(per)) == test_rmse, mode
+        assert train_mod.INCOMPLETE_MARKER not in (cell / "metrics.csv").read_text()
+        assert (cell / "checkpoint.json").exists()
 
 
 @pytest.mark.parametrize("what,csv,header", [
@@ -297,7 +322,8 @@ def test_test_alphas_sharing_a_file_name_exit_two(tmp_path, capsys, alphas):
     cfg = write_config(tmp_path / "c.json", test_alphas=alphas)
     assert cli.main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert all(repr(a) in err for a in alphas) and "pred_alpha_" in err
+    assert "test_alphas" in err and "pred_alpha_" in err
+    assert all(repr(a) in err for a in alphas)
     assert not (tmp_path / "out").exists()
 
 

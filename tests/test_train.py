@@ -390,26 +390,42 @@ def test_solve_count_is_read_per_run_after_a_failed_run(tmp_path, monkeypatch):
             assert m.n_solver_evals == declared_evals(config, m.epoch + 1), key
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_any_exception_flushes_marked_metrics_without_temp_files(tmp_path, monkeypatch, error):
-    real_solve = train_mod.solve_poisson
-    state = {"n": 0}
-
-    def failing(mesh, params):
-        state["n"] += 1
-        if state["n"] == 9:
-            raise error("synthetic failure")
-        return real_solve(mesh, params)
-
-    monkeypatch.setattr(train_mod, "solve_poisson", failing)
+@pytest.mark.parametrize("target,call,error,epochs_done,left", [
+    # call 9 is epoch 1's first solve, so epoch 0 is the one finished epoch
+    ("solve_poisson", 9, RuntimeError, 1, []),
+    ("solve_poisson", 9, KeyboardInterrupt, 1, []),
+    # the final writes: checkpoint.json, then pred/truth CSVs, metrics.csv last
+    ("write_checkpoint", 1, OSError, 5, []),
+    ("write_field_csv", 1, KeyboardInterrupt, 5, ["checkpoint.json"]),
+], ids=["RuntimeError", "KeyboardInterrupt", "checkpoint-OSError",
+        "field-csv-KeyboardInterrupt"])
+def test_any_exception_flushes_marked_metrics_without_temp_files(tmp_path, monkeypatch, target,
+                                                                 call, error, epochs_done, left):
+    """A failure in training or in any of the run's file writes leaves a
+    metrics.csv of the finished epochs that ends in the incomplete marker,
+    beside only the files written before the failure; metrics.csv itself
+    does not exist yet when the failure strikes."""
+    real = getattr(train_mod, target)
     out = tmp_path / "boom"
+    calls = {"n": 0}
+    at_failure = []
+
+    def failing(*args):
+        calls["n"] += 1
+        if calls["n"] == call:
+            at_failure.extend(p.name for p in out.iterdir())
+            raise error("synthetic failure")
+        return real(*args)
+
+    monkeypatch.setattr(train_mod, target, failing)
     with pytest.raises(error):
         train_run(tiny_config(epochs=5, out_dir=str(out)))
+    assert sorted(at_failure) == sorted(left)
     rows = (out / "metrics.csv").read_text().splitlines()
-    # call 9 is epoch 1's first solve, so epoch 0 is the one finished epoch
-    assert rows[0] == METRICS_HEADER and rows[1].startswith("0,")
-    assert rows[2:] == [INCOMPLETE_MARKER]
-    assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+    assert rows[0] == METRICS_HEADER
+    assert [int(r.split(",")[0]) for r in rows[1:-1]] == list(range(epochs_done))
+    assert rows[-1] == INCOMPLETE_MARKER
+    assert sorted(p.name for p in out.iterdir()) == sorted(["metrics.csv", *left])
 
 
 def test_joint_desk_training_starts_no_thread(tmp_path, monkeypatch):
