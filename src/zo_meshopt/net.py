@@ -1,18 +1,27 @@
 """Per-node correction network: a small tanh MLP with hand-written gradients.
 
-Everything is float64.  The API is batch-first: features are (n, d0),
-predictions are (n, d_out) and input gradients are (n, d0).  backward
-differentiates sum(cotangent * predictions) exactly.
+The API is batch-first: features are (n, d0), predictions are (n, d_out)
+and input gradients are (n, d0).  backward differentiates
+sum(cotangent * predictions) exactly in the workspace's arithmetic.
+
+Parameters are float64 (``MlpParams.flat``), and so are the parameter
+gradients ``backward`` returns.  The passes themselves run in the compute
+dtype of their ``Workspace``, float64 unless it is built with another:
+forward casts each ``[W | b]`` block to that dtype once per pass, and the
+features, activations, cotangent and input gradients live in it.  A
+float32 workspace therefore trains float64 master weights from float32
+passes, the scheme of mixed-precision training (Micikevicius et al., ICLR
+2018).
 
 Every pass writes into a ``Workspace`` whose buffers are feature-major: one
 C-contiguous (width, n) array per layer, so the output layer's outer
 product and the bias-gradient sums run along contiguous rows.  Each layer's
 input buffer ends in a row of ones, so forward computes a layer as one
-product with its parameter block ``[W | b]``, a view of ``MlpParams.flat``,
-and no separate bias pass.  The batch-first arrays the API takes and
-returns are transposed views of those buffers, made once per workspace, and
-a training run that keeps one workspace allocates no per-layer array per
-step.
+product with its parameter block ``[W | b]`` (a view of ``MlpParams.flat``,
+or its cast copy) and no separate bias pass.  The batch-first arrays the
+API takes and returns are transposed views of those buffers, made once per
+workspace, and a training run that keeps one workspace allocates no
+per-layer (width, n) array per step.
 
 Aliasing rule: the predictions ``forward`` returns, and the input gradients
 ``backward`` returns, are views into the workspace and live only until its
@@ -86,7 +95,8 @@ def _blocks(dims: tuple[int, ...], flat: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class Workspace:
-    """Reusable float64 buffers for forward and backward on n rows.
+    """Reusable buffers for forward and backward on n rows, all of the
+    compute dtype ``dtype`` (float64 by default).
 
     Feature-major buffers, each C-contiguous.  ``inputs_t[l]`` is layer l's
     input, (dims[l] + 1, n), whose last row holds ones, so that layer l is
@@ -103,19 +113,20 @@ class Workspace:
     passes written, forward and backward alike.
     """
 
-    def __init__(self, layer_dims, n: int):
+    def __init__(self, layer_dims, n: int, dtype=np.float64):
         dims = tuple(int(d) for d in layer_dims)
         self.layer_dims = dims
         self.n = int(n)
+        self.dtype = np.dtype(dtype)
         hidden = max(dims[1:-1], default=0)
-        self.inputs_t = tuple(np.ones((d + 1, n)) for d in dims[:-1])
+        self.inputs_t = tuple(np.ones((d + 1, n), self.dtype) for d in dims[:-1])
         self.features_t = self.inputs_t[0][:-1]
         self.activations_t = (
             *(x[:-1] for x in self.inputs_t[1:]),
-            np.empty((dims[-1], n)),
+            np.empty((dims[-1], n), self.dtype),
         )
-        self.input_grads_t = np.empty((dims[0], n))
-        self.g_t = np.empty((hidden, n))
+        self.input_grads_t = np.empty((dims[0], n), self.dtype)
+        self.g_t = np.empty((hidden, n), self.dtype)
         self.features = self.features_t.T
         self.activations = tuple(a.T for a in self.activations_t)
         self.input_grads = self.input_grads_t.T
@@ -127,6 +138,7 @@ class ForwardCache:
     params: MlpParams
     workspace: Workspace
     generation: int
+    blocks: tuple[np.ndarray, ...]  # params.blocks in the workspace's dtype
 
 
 def init_params(layer_dims, seed: int) -> MlpParams:
@@ -148,12 +160,12 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """tanh hidden layers, identity output; returns (predictions, cache).
 
-    Writes every layer into ``out`` (a fresh workspace when None); the
-    returned predictions are ``out.activations[-1]``.  Features not built
-    in ``out.features`` are copied there first, so the results do not
-    depend on the caller's memory layout.
+    Writes every layer into ``out`` (a fresh float64 workspace when None);
+    the returned predictions are ``out.activations[-1]``.  Features not
+    built in ``out.features`` are copied there first, cast to its dtype, so
+    the results do not depend on the caller's memory layout.
     """
-    x = np.asarray(features, dtype=float)
+    x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
         raise ValueError(
             f"features must be (n, {params.layer_dims[0]}), got shape {x.shape}"
@@ -168,12 +180,13 @@ def forward(
     if x is not out.features:
         np.copyto(out.features, x)
     out.generation += 1
-    last = len(params.blocks) - 1
-    for l, wb in enumerate(params.blocks):
+    blocks = tuple(wb.astype(out.dtype, copy=False) for wb in params.blocks)
+    last = len(blocks) - 1
+    for l, wb in enumerate(blocks):
         a = np.matmul(wb, out.inputs_t[l], out=out.activations_t[l])
         if l != last:
             np.tanh(a, out=a)
-    return out.activations[-1], ForwardCache(params, out, out.generation)
+    return out.activations[-1], ForwardCache(params, out, out.generation, blocks)
 
 
 def backward(
@@ -185,10 +198,11 @@ def backward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Reverse-mode gradients of sum(cotangent * predictions).
 
-    Returns the parameter gradients, one fresh vector laid out as
-    ``params.flat``, and per-row input gradients (n, d0); the latter are
-    ``cache.workspace.input_grads``, or None with ``input_grads=False``,
-    which skips their product.  Consumes the cache:
+    The cotangent is cast to the workspace's dtype.  Returns the parameter
+    gradients, one fresh float64 vector laid out as ``params.flat``, and
+    per-row input gradients (n, d0); the latter are
+    ``cache.workspace.input_grads``, in its dtype, or None with
+    ``input_grads=False``, which skips their product.  Consumes the cache:
     the hidden activations are overwritten, and a second backward on it
     raises ValueError.
     """
@@ -200,7 +214,7 @@ def backward(
             "cache is stale: its workspace was refilled by a later forward pass "
             "or consumed by a backward pass"
         )
-    cot = np.asarray(prediction_cotangent, dtype=float)
+    cot = np.asarray(prediction_cotangent, dtype=ws.dtype)
     if cot.shape != ws.activations[-1].shape:
         raise ValueError(
             f"cotangent shape {cot.shape} does not match predictions "
@@ -212,7 +226,7 @@ def backward(
     n_layers = len(params.blocks)
     dz = cot.T
     for l in reversed(range(n_layers)):
-        w = params.blocks[l][:, :-1]
+        w = cache.blocks[l][:, :-1]
         if l != n_layers - 1:
             # (1 - act**2) * g, built in place over the activations: the
             # layer above's weight gradient was their last reader.
@@ -221,7 +235,9 @@ def backward(
             dz *= g
         a_prev = ws.features_t if l == 0 else ws.activations_t[l - 1]
         np.matmul(dz, a_prev.T, out=grad_blocks[l][:, :-1])
-        np.sum(dz, axis=1, out=grad_blocks[l][:, -1])
+        # Summed in dz's dtype, then stored: a float32 sum written straight
+        # into the float64 column takes a buffered casting loop, 3x slower.
+        grad_blocks[l][:, -1] = dz.sum(axis=1)
         if l == 0 and not input_grads:
             break
         g_out = ws.input_grads_t if l == 0 else ws.g_t[: w.shape[1]]

@@ -1,6 +1,8 @@
 """Joint training of the correction network and the coarse-mesh lines.
 
-Network weights always get exact reverse-mode gradients.  Mesh parameters get
+Network weights always get exact reverse-mode gradients; a run computes its
+net passes in float32 and keeps everything else, the weights, the Adam states,
+the loss, the solver and the estimators, in float64.  Mesh parameters get
 nothing (frozen), a central-difference oracle (exact), or a zeroth-order
 estimate assembled from forward solves only; during the warm-start epochs the
 mesh is held frozen regardless of mode, which costs no extra solves.  The
@@ -168,7 +170,7 @@ class LossCache:
     fine_mesh: TensorMesh
     net_cache: net.ForwardCache
     predictions: np.ndarray
-    fine_field: Field
+    resid: np.ndarray  # predictions[:, 0] - truth, float64
 
 
 def node_features(
@@ -196,8 +198,9 @@ def loss_from_coarse_field(
 ) -> tuple[float, LossCache]:
     """MSE over all fine nodes, driven from an already-solved coarse field.
 
-    With a workspace, features and network passes reuse its buffers, so the
-    cache's predictions live only until the workspace's next forward.
+    With a workspace, features and network passes reuse its buffers and run
+    in its dtype, so the cache's predictions live only until the
+    workspace's next forward.  The residual and the loss are float64.
     """
     u_up = nearest_upsample(coarse_mesh, coarse_field, fine_mesh)
     feats = node_features(
@@ -206,7 +209,7 @@ def loss_from_coarse_field(
     preds, cache = net.forward(net_params, feats, workspace)
     resid = preds[:, 0] - fine_field.values
     loss = float(resid @ resid / resid.size)
-    return loss, LossCache(coarse_mesh, fine_mesh, cache, preds, fine_field)
+    return loss, LossCache(coarse_mesh, fine_mesh, cache, preds, resid)
 
 
 def loss_forward(
@@ -238,8 +241,7 @@ def loss_backward(
     the cotangent, which only a mesh gradient needs, is neither built nor
     returned (None).
     """
-    n = cache.predictions.shape[0]
-    cot = 2.0 * (cache.predictions - cache.fine_field.values[:, None]) / n
+    cot = 2.0 * cache.resid[:, None] / cache.resid.size
     grads, input_grads = net.backward(
         cache.net_cache.params, cache.net_cache, cot, input_grads=mesh_cotangent
     )
@@ -403,7 +405,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     solves0 = solve_count()
 
     fine_mesh = uniform_mesh(config.fine_n)
-    workspace = net.Workspace(net.DEFAULT_DIMS, fine_mesh.n_nodes)
+    workspace = net.Workspace(net.DEFAULT_DIMS, fine_mesh.n_nodes, np.float32)
     truths: dict[float, Field] = {}
 
     def fine_truth(alpha: float) -> Field:

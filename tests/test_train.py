@@ -472,7 +472,8 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
     config = tiny_config(mesh_mode=mode, estimator=est, epochs=1, warm_start_epochs=0,
                          mesh_lr=1e-2, out_dir=str(tmp_path / mode))
 
-    # Reference: one scenario at a time, each through its own fresh workspace.
+    # Reference: one scenario at a time, each through its own fresh workspace
+    # of training's compute dtype.
     fine = uniform_mesh(config.fine_n)
     coarse = initial_coarse_mesh(config)
     netp = net.init_params(net.DEFAULT_DIMS, config.seed)
@@ -483,7 +484,10 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
     for k, idx in enumerate(order):
         scenario = ScenarioParams(config.train_alphas[idx])
         truth = solve_poisson(fine, scenario).field
-        _, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
+        _, cache, coarse_field = loss_forward(
+            coarse, netp, scenario, fine, truth,
+            workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
+        )
         grads, v = loss_backward(cache)
         theta_grads.append(grads)
         spec = dataclasses.replace(est, seed=est.seed + k) if mode != "exact" else None
@@ -509,7 +513,7 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
 
     monkeypatch.setattr(net, "Workspace", CountingWorkspace)
     _, state = train_run(config)
-    assert built == [(net.DEFAULT_DIMS, fine.n_nodes)]
+    assert built == [(net.DEFAULT_DIMS, fine.n_nodes, np.float32)]
     assert np.array_equal(state.net.flat, want_theta)
     assert np.array_equal(state.mesh.x_lines, want_mesh.x_lines)
     assert np.array_equal(state.mesh.y_lines, want_mesh.y_lines)
@@ -534,6 +538,30 @@ def test_checkpoint_contents(tmp_path):
             data["adam"]["net"]["eps"]) == (0.9, 0.999, 1e-8)
 
 
+def test_float32_run_keeps_float64_gradients_weights_adam_and_checkpoint(tmp_path, monkeypatch):
+    passes = []
+    real_backward = net.backward
+
+    def recording(params, cache, cot, **kw):
+        grads, input_grads = real_backward(params, cache, cot, **kw)
+        passes.append((cache.workspace.dtype, grads.dtype))
+        return grads, input_grads
+
+    monkeypatch.setattr(net, "backward", recording)
+    config = tiny_config(mesh_mode="gaussian", estimator=EstimatorSpec("gaussian", b=2, seed=0),
+                         mesh_lr=1e-2, out_dir=str(tmp_path / "f32"))
+    _, state = train_run(config)
+    assert passes == [(np.float32, np.float64)] * (config.epochs * len(config.train_alphas))
+    assert state.net.flat.dtype == np.float64
+    assert state.adam_mesh.t > 0
+    for adam in (state.adam_net, state.adam_mesh):
+        assert adam.m.dtype == np.float64 and adam.v.dtype == np.float64
+    data = json.loads((tmp_path / "f32" / "checkpoint.json").read_text())["net"]
+    for l, (w, b) in enumerate(zip(state.net.weights, state.net.biases)):
+        assert np.array_equal(np.array(data["weights"][l]), w)
+        assert np.array_equal(np.array(data["biases"][l]), b)
+
+
 def test_test_rmse_matches_manual_recompute(tmp_path):
     config = tiny_config(out_dir=str(tmp_path / "r"))
     metrics, state = train_run(config)
@@ -542,7 +570,10 @@ def test_test_rmse_matches_manual_recompute(tmp_path):
     for alpha in config.test_alphas:
         scenario = ScenarioParams(alpha)
         truth = solve_poisson(fine, scenario).field
-        _, cache, _ = loss_forward(state.mesh, state.net, scenario, fine, truth)
+        _, cache, _ = loss_forward(
+            state.mesh, state.net, scenario, fine, truth,
+            workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
+        )
         per.append(rmse(Field(cache.predictions[:, 0], fine.shape), truth))
     assert metrics[-1].test_rmse == pytest.approx(float(np.mean(per)), rel=0, abs=1e-15)
 
