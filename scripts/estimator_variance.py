@@ -9,10 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from zo_meshopt.grid import Field, ScenarioParams, uniform_mesh
-from zo_meshopt.solver import exact_mesh_vjp, solve_poisson
-from zo_meshopt.train import mesh_grad
-from zo_meshopt.zo import EstimatorSpec
+from zo_meshopt.grid import Field, ScenarioParams, mesh_to_params, uniform_mesh
+from zo_meshopt.solver import exact_mesh_vjp, make_evaluate, solve_poisson
+from zo_meshopt.zo import EstimatorSpec, zo_vjp
 
 
 def main(argv=None):
@@ -35,6 +34,8 @@ def main(argv=None):
     v_field = Field(v, mesh.shape)
 
     exact = exact_mesh_vjp(mesh, scenario, v_field)
+    evaluate = make_evaluate(mesh, scenario)
+    p0 = mesh_to_params(mesh)
     exact_norm = np.linalg.norm(exact)
     dim = exact.size
 
@@ -50,9 +51,7 @@ def main(argv=None):
         spec = EstimatorSpec(kind=kind, mu=args.mu, b=b, d=d, seed=0)
         estimates = np.empty((args.trials, dim))
         for i in range(args.trials):
-            g = mesh_grad(kind, mesh, v_field, scenario,
-                          spec=replace(spec, seed=i), base_output=base.values)
-            estimates[i] = g
+            estimates[i] = zo_vjp(evaluate, p0, base.values, v, replace(spec, seed=i))
         cos = np.array([
             e @ exact / (np.linalg.norm(e) * exact_norm + 1e-300) for e in estimates
         ])

@@ -30,7 +30,6 @@ from .train import (
     declared_evals,
     loss_backward,
     loss_forward,
-    mesh_grad,
     rmse,
     sweep,
     train_run,
@@ -60,7 +59,6 @@ __all__ = [
     "loss_backward",
     "loss_forward",
     "make_evaluate",
-    "mesh_grad",
     "mesh_to_params",
     "nearest_upsample",
     "params_to_mesh",

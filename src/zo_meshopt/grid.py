@@ -6,8 +6,8 @@ interior line positions, flattened to one parameter vector (interior x-lines
 first, then interior y-lines).  Fields store one value per node in row-major
 order over (j, i): node (i, j) sits at (x_lines[i], y_lines[j]) and lives at
 flat index j * nx + i, so each stored row follows one y-line.  Nearest
-upsampling and its adjoint share one fine-to-coarse node map, cached by the
-line contents of the (coarse, fine) pair.
+upsampling and its adjoint share one fine-to-coarse node map, cached per
+(coarse, fine) pair and keyed on the meshes, which compare by content.
 """
 
 from __future__ import annotations
@@ -48,12 +48,14 @@ def _validate_lines(lines: np.ndarray, s_min: float, axis: str) -> None:
         raise ValueError(f"{axis}_lines spacing falls below the minimum gap {s_min}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorMesh:
     """Grid-line positions of a tensor-product mesh over [0, 1]^2.
 
     Lines are strictly increasing with consecutive gaps of at least ``s_min``;
-    the arrays are made read-only so meshes can be shared freely.
+    the arrays are made read-only so meshes can be shared freely.  Meshes are
+    equal and hash alike exactly when their ``key``s are, so a mesh can key
+    a memo by content.
     """
 
     x_lines: np.ndarray
@@ -71,6 +73,21 @@ class TensorMesh:
         y.setflags(write=False)
         object.__setattr__(self, "x_lines", x)
         object.__setattr__(self, "y_lines", y)
+
+    @functools.cached_property
+    def key(self) -> tuple[bytes, bytes, float]:
+        """The mesh's content: the bytes of its x lines and of its y lines,
+        and s_min.  Each line entry also keys that axis in the solver's
+        factorization cache."""
+        return (self.x_lines.tobytes(), self.y_lines.tobytes(), self.s_min)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TensorMesh):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -266,25 +283,15 @@ def _nearest_line_index(lines: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.searchsorted(midpoints, targets, side="left")
 
 
+@functools.lru_cache(maxsize=4)
 def _upsample_map(coarse: TensorMesh, fine: TensorMesh) -> np.ndarray:
     """Flat index of each fine node's nearest coarse node, row-major over
-    the fine mesh; read-only and built once per (coarse, fine) pair of line
-    contents, so a training step's upsample and adjoint, and every pass
-    while the mesh is frozen, share one map."""
-    return _upsample_map_of(
-        coarse.x_lines.tobytes(),
-        coarse.y_lines.tobytes(),
-        fine.x_lines.tobytes(),
-        fine.y_lines.tobytes(),
-    )
-
-
-@functools.lru_cache(maxsize=4)
-def _upsample_map_of(cx_key: bytes, cy_key: bytes, fx_key: bytes, fy_key: bytes) -> np.ndarray:
-    coarse_x = np.frombuffer(cx_key)
-    ix = _nearest_line_index(coarse_x, np.frombuffer(fx_key))
-    iy = _nearest_line_index(np.frombuffer(cy_key), np.frombuffer(fy_key))
-    flat = (iy[:, None] * coarse_x.size + ix[None, :]).ravel()
+    the fine mesh; read-only and keyed on the (coarse, fine) pair of meshes,
+    so a training step's upsample and adjoint, and every pass while the
+    mesh is frozen, share one map."""
+    ix = _nearest_line_index(coarse.x_lines, fine.x_lines)
+    iy = _nearest_line_index(coarse.y_lines, fine.y_lines)
+    flat = (iy[:, None] * coarse.x_lines.size + ix[None, :]).ravel()
     flat.setflags(write=False)
     return flat
 

@@ -25,16 +25,17 @@ repeat from call to call: one coarse mesh is solved for every scenario
 alpha of an epoch, a uniform fine mesh has equal x and y lines, and each
 central-difference perturbation of ``exact_mesh_vjp`` moves one line, so
 its other axis is the base mesh's.  Factorizations are therefore kept in a
-least-recently-used cache keyed on the bytes of the lines (see
-``_AXIS_CACHE_SIZE`` for the bound), and every cached array is read-only.
-One routine, ``_axes``, is the only lookup: it takes a list of keys and
-factorizes all the missing ones in one stacked ``eigh`` per line count.  A
-stacked ``eigh`` runs the same LAPACK call on each matrix, so every axis is
-bit for bit what it would be alone.  A single solve looks up its two axes;
-both gradient methods reach the solver through ``_solve_block``, which
-looks up every axis of its block first: the estimators' ``make_evaluate``
-hands it each projected block of b perturbed meshes, and the
-central-difference oracle ``exact_mesh_vjp`` its 2 * D meshes.  A
+least-recently-used cache keyed on the bytes of the lines, the two line
+entries of ``TensorMesh.key`` (see ``_AXIS_CACHE_SIZE`` for the bound), and
+every cached array is read-only.  One routine, ``_axes``, is the only
+lookup: it takes a list of keys and factorizes all the missing ones in one
+stacked ``eigh`` per line count.  A stacked ``eigh`` runs the same LAPACK
+call on each matrix, so every axis is bit for bit what it would be alone.
+A single solve looks up its two axes; both gradient methods reach the
+solver through ``_solve_block``, which looks up every axis of its block
+first: the estimators' ``make_evaluate`` hands it each projected block of b
+perturbed meshes, and the central-difference oracle ``exact_mesh_vjp`` its
+2 * D meshes.  A
 zeroth-order perturbation moves every line, so both axes of each perturbed
 mesh are new and the whole block's are factorized as one stack.  Then each
 mesh of the block is one ``solve_poisson`` call.  The cache saves
@@ -43,8 +44,8 @@ checks its residual and returns its own report.
 
 The oracle's perturbed meshes depend only on the base mesh and the step h,
 not on the scenario, so ``exact_mesh_vjp`` projects them once per base mesh
-(a one-entry memo keyed like the axis cache) and every scenario alpha of an
-epoch solves the same 2 * D meshes as one block.
+(a one-entry memo keyed on the mesh, which compares by content, and h) and
+every scenario alpha of an epoch solves the same 2 * D meshes as one block.
 
 The solver counts its own calls.  Every one-mesh solve adds one to a
 process-wide count, read by ``solve_count()``, before it runs, so a solve
@@ -132,7 +133,7 @@ def _factorize(lines: np.ndarray) -> list[_Axis]:
     return [_Axis(*arrays) for arrays in zip(*stacks)]
 
 
-def _axes(keys: list[bytes]) -> list[_Axis]:
+def _axes(keys: Sequence[bytes]) -> list[_Axis]:
     """The factorized axis of each key (the bytes of an axis's lines), in
     order: the one cache lookup.  Cached keys move to the most recent end;
     the distinct missing ones are factorized in one stacked eigh per line
@@ -184,7 +185,7 @@ def _solve(
     nx, ny = mesh.shape
     if nx < 3 or ny < 3:
         raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
-    ax, ay = _axes([mesh.x_lines.tobytes(), mesh.y_lines.tobytes()])
+    ax, ay = _axes(mesh.key[:2])
     rhs = np.asarray(rhs_fn(mesh.x_lines[1:-1], mesh.y_lines[1:-1, None]), dtype=float)
     u = _solve_interior(ax, ay, rhs) / params.alpha
     # A NaN or inf anywhere in u makes the residual NaN or inf.
@@ -225,7 +226,7 @@ def _solve_block(meshes: Sequence[TensorMesh], params: ScenarioParams) -> np.nda
     nodes each: every axis of the block is looked up first, in one ``_axes``
     call, then each mesh is one ``solve_poisson`` call, so the block adds b
     to ``solve_count()``.  The only place that solves a block."""
-    _axes([lines.tobytes() for mesh in meshes for lines in (mesh.x_lines, mesh.y_lines)])
+    _axes([line_key for mesh in meshes for line_key in mesh.key[:2]])
     out = np.empty((len(meshes), meshes[0].n_nodes))
     for row, mesh in zip(out, meshes):
         row[:] = solve_poisson(mesh, params).field.values
@@ -252,18 +253,11 @@ def make_evaluate(
     return evaluate
 
 
+@functools.lru_cache(maxsize=1)
 def _perturbed_meshes(mesh: TensorMesh, h: float) -> tuple[TensorMesh, ...]:
     """The oracle's 2 * D meshes p0 + h e_k, p0 - h e_k, k = 0 .. D - 1, in
     that order, shared by every scenario solved on this mesh; projected in
-    one block once per base mesh."""
-    return _perturbed_meshes_of(mesh.x_lines.tobytes(), mesh.y_lines.tobytes(), mesh.s_min, h)
-
-
-@functools.lru_cache(maxsize=1)
-def _perturbed_meshes_of(
-    x_key: bytes, y_key: bytes, s_min: float, h: float
-) -> tuple[TensorMesh, ...]:
-    mesh = TensorMesh(np.frombuffer(x_key), np.frombuffer(y_key), s_min)
+    one block once per base mesh and step."""
     p0 = mesh_to_params(mesh)
     steps = np.zeros((2 * p0.size, p0.size))
     k = np.arange(p0.size)

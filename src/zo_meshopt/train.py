@@ -3,12 +3,13 @@
 Network weights always get exact reverse-mode gradients; a run computes its
 net passes in float32 and keeps everything else, the weights, the Adam states,
 the loss, the solver and the estimators, in float64.  Mesh parameters get
-nothing (frozen), a central-difference oracle (exact), or a zeroth-order
-estimate assembled from forward solves only; during the warm-start epochs the
-mesh is held frozen regardless of mode, which costs no extra solves.  The
-solver counts its own calls (``solver.solve_count()``), and each epoch's
-``n_solver_evals`` is that count less its reading at the start of the run,
-so the per-epoch eval numbers in the metrics are exact budgets.
+nothing (frozen), the central-difference oracle ``exact_mesh_vjp`` (exact,
+2 * D solves per scenario), or a ``zo_vjp`` estimate from b forward solves
+through ``make_evaluate`` (the estimator modes); during the warm-start
+epochs the mesh is held frozen regardless of mode, which costs no extra
+solves.  The solver counts its own calls (``solver.solve_count()``), and
+each epoch's ``n_solver_evals`` is that count less its reading at the start
+of the run, so the per-epoch eval numbers in the metrics are exact budgets.
 """
 
 from __future__ import annotations
@@ -252,39 +253,6 @@ def loss_backward(
     return grads, v_coarse
 
 
-def mesh_grad(
-    mode: str,
-    mesh: TensorMesh,
-    v_coarse: Field,
-    scenario: ScenarioParams,
-    spec: EstimatorSpec | None = None,
-    *,
-    base_output: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mesh-parameter gradient for one scenario.
-
-    frozen costs nothing, exact costs 2 * D central-difference solves, the
-    estimator modes cost exactly b solves and require the caller's base
-    output and a spec whose kind is mode (TrainConfig derives it, with
-    gauss_coord's d capped at D).  ``declared_evals`` states these costs;
-    the difference of two ``solver.solve_count()`` readings measures them.
-    """
-    if mode == "frozen":
-        return np.zeros(mesh.n_params)
-    if mode == "exact":
-        return exact_mesh_vjp(mesh, scenario, v_coarse)
-    if mode not in ESTIMATOR_KINDS:
-        raise ConfigError(f"unknown mesh mode {mode!r}, expected one of {MESH_MODES}")
-    if spec is None:
-        raise ConfigError(f"mesh mode {mode!r} needs an estimator spec")
-    if spec.kind != mode:
-        raise ConfigError(f"estimator kind {spec.kind!r} does not match mesh mode {mode!r}")
-    if base_output is None:
-        raise ValueError("estimator modes need the base coarse solve's values")
-    evaluate = make_evaluate(mesh, scenario)
-    return zo_vjp(evaluate, mesh_to_params(mesh), base_output, v_coarse.values, spec)
-
-
 def rmse(pred: Field, truth: Field) -> float:
     if pred.mesh_shape != truth.mesh_shape:
         raise ValueError(
@@ -448,20 +416,20 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     theta_grads.append(grads)
                     if joint:
                         v_scaled = Field(v_coarse.values / n_batch, v_coarse.mesh_shape)
-                        spec = None
-                        if config.mesh_mode in ESTIMATOR_KINDS:
+                        if config.mesh_mode == "exact":
+                            mesh_g += exact_mesh_vjp(coarse, scenario, v_scaled)
+                        else:
                             spec = replace(
                                 config.estimator, seed=config.estimator.seed + est_calls
                             )
                             est_calls += 1
-                        mesh_g += mesh_grad(
-                            config.mesh_mode,
-                            coarse,
-                            v_scaled,
-                            scenario,
-                            spec,
-                            base_output=coarse_field.values,
-                        )
+                            mesh_g += zo_vjp(
+                                make_evaluate(coarse, scenario),
+                                mesh_to_params(coarse),
+                                coarse_field.values,
+                                v_scaled.values,
+                                spec,
+                            )
                 batch_losses.append(float(np.mean(losses)))
                 theta_grad = np.mean(np.stack(theta_grads), axis=0)
                 try:

@@ -270,7 +270,9 @@ def test_warm_start_beats_cold_at_equal_budget(tmp_path):
     t0 = time.perf_counter()
     results = {}
     for kind in ZO_KINDS:
-        shared = dict(b=1, d=16, est_seed=0, mesh_lr=7e-4)
+        # d = 8 (desk's) is below the mesh dimension D = 14, so gauss_coord
+        # runs its own subset instead of repeating the gaussian case.
+        shared = dict(b=1, d=8, est_seed=0, mesh_lr=7e-4)
         cfg_w, m_warm = run_case(tmp_path / f"{kind}_warm", kind,
                                  epochs=450, warm=300, **shared)
         cfg_c, m_cold = run_case(tmp_path / f"{kind}_cold", kind,

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, overrides, artifact layout."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import zo_meshopt.solver as solver_mod
 import zo_meshopt.train as train_mod
 from zo_meshopt.errors import SolverError
 from zo_meshopt.grid import read_field_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path, **overrides):
@@ -69,6 +72,26 @@ def test_train_counts_every_solve(tmp_path, monkeypatch):
         truth = read_field_csv(tmp_path / "out" / f"truth_alpha_{alpha:g}.csv")
         per.append(train_mod.rmse(pred, truth))
     assert float(np.mean(per)) == float(last[2])
+
+
+@pytest.mark.parametrize("mode", ["exact", "gauss_coord"])
+def test_bench_tracer_sees_every_solve_and_leaves_no_wrapper(tmp_path, monkeypatch, mode):
+    """The benchmark's layer tracer (bench/layertrace.py) records one solve
+    span per counted solve of a desk train command, and leaving it restores
+    every binding it replaced."""
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, "layertrace", layertrace)
+    spec.loader.exec_module(layertrace)
+    out = tmp_path / "run"
+    args = ["train", "--config", str(ROOT / "configs" / "desk.json"), "--mesh-mode", mode,
+            "--epochs", "3", "--warm-start", "1", "--out", str(out)]
+    with layertrace.Tracer() as tracer:
+        assert cli.main(args) == 0
+    last = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
+    assert sum(span.name == "solve" for span in tracer.spans) == int(last[3])
+    assert layertrace.installed_wrappers() == []
 
 
 def test_train_does_not_import_scipy(tmp_path):

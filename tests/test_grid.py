@@ -31,6 +31,33 @@ def brute_nearest_index(lines, target):
     return int(np.argmin(d))
 
 
+def test_meshes_compare_and_hash_by_content():
+    a, b = uniform_mesh(5), uniform_mesh(5)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    other = np.array([0.0, 0.2, 0.5, 0.75, 1.0])
+    for c in (TensorMesh(other, a.y_lines), TensorMesh(a.x_lines, other),
+              uniform_mesh(5, s_min=1e-3)):
+        assert a != c and c != a
+    assert a != a.key and a != "mesh"
+
+
+def test_mesh_memos_hit_on_an_equal_mesh_object():
+    """A distinct mesh of equal content finds the memo entry of the first."""
+    from zo_meshopt import solver as solver_mod
+
+    coarse, fine = uniform_mesh(5), uniform_mesh(9)
+    copy = TensorMesh(np.array(coarse.x_lines), np.array(coarse.y_lines))
+    grid_mod._upsample_map.cache_clear()
+    first = grid_mod._upsample_map(coarse, fine)
+    assert grid_mod._upsample_map(copy, uniform_mesh(9)) is first
+    assert grid_mod._upsample_map.cache_info()[:2] == (1, 1)  # (hits, misses)
+    solver_mod._perturbed_meshes.cache_clear()
+    first = solver_mod._perturbed_meshes(coarse, 1e-6)
+    assert solver_mod._perturbed_meshes(copy, 1e-6) is first
+    assert solver_mod._perturbed_meshes.cache_info()[:2] == (1, 1)
+
+
 def test_uniform_mesh_lines():
     m = uniform_mesh(5)
     assert np.array_equal(m.x_lines, np.linspace(0.0, 1.0, 5))
@@ -315,9 +342,9 @@ def test_upsample_adjoint_matches_add_at_bitwise(ncx, ncy, nfx, nfy, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 12), st.integers(9, 40), st.integers(0, 2**32 - 1))
 def test_cached_upsample_map_matches_direct_gather_and_add_at(nc, nf, seed):
-    """Meshes A, B, A in turn: each gets its own map (the cache is keyed on
-    line contents, not on the mesh object), and every result equals the
-    direct per-axis gather and np.add.at bit for bit."""
+    """Meshes A, B, then a copy of A in turn (the cache is keyed on mesh
+    content, so the copy reuses A's map): every result equals the direct
+    per-axis gather and np.add.at bit for bit."""
     rng = np.random.default_rng(seed)
 
     def lines(k):

@@ -227,6 +227,27 @@ def test_make_evaluate_of_an_empty_block_solves_nothing():
     assert solve_count() == before
 
 
+def test_each_mesh_gradient_route_counts_its_solves():
+    """The exact oracle costs 2 * D solves; an estimate through
+    make_evaluate costs b."""
+    from zo_meshopt.grid import mesh_to_params
+    from zo_meshopt.zo import EstimatorSpec, zo_vjp
+
+    mesh = uniform_mesh(5)
+    params = ScenarioParams(1.0)
+    v = Field(np.ones(mesh.n_nodes), mesh.shape)
+    before = solve_count()
+    g = exact_mesh_vjp(mesh, params, v)
+    assert solve_count() - before == 2 * mesh.n_params
+    assert np.any(g != 0.0)
+
+    base = solve_poisson(mesh, params).field.values
+    before = solve_count()
+    zo_vjp(make_evaluate(mesh, params), mesh_to_params(mesh), base, v.values,
+           EstimatorSpec(kind="gaussian", b=3, seed=0))
+    assert solve_count() - before == 3
+
+
 def test_exact_mesh_vjp_matches_dense_jacobian():
     """Central-difference VJP against a column-by-column Jacobian build."""
     mesh = uniform_mesh(5)
@@ -377,7 +398,7 @@ def test_exact_oracle_factorizes_each_axis_once_across_alphas(axis_misses):
     mesh = TensorMesh(_random_lines(rng, 17), _random_lines(rng, 17))
     v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
     n_params = 2 * (17 - 2)
-    solver_mod._perturbed_meshes_of.cache_clear()
+    solver_mod._perturbed_meshes.cache_clear()
     for alpha in (0.90, 0.91, 0.92, 0.93, 0.94, 0.95):
         exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
     assert 0 < len(axis_misses) <= 2 * n_params + 2
@@ -426,7 +447,7 @@ def test_exact_oracle_projects_perturbed_meshes_once_across_alphas(monkeypatch):
     project = solver_mod.params_to_meshes
     monkeypatch.setattr(solver_mod, "params_to_meshes",
                         lambda template, p: projected.extend(p) or project(template, p))
-    solver_mod._perturbed_meshes_of.cache_clear()
+    solver_mod._perturbed_meshes.cache_clear()
     for alpha in _ALPHAS:
         exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
     assert len(projected) == 2 * mesh.n_params
@@ -436,7 +457,7 @@ def test_shared_perturbed_meshes_give_the_per_call_gradient():
     rng = np.random.default_rng(9)
     meshes = [uniform_mesh(5), TensorMesh(_random_lines(rng, 9), _random_lines(rng, 7)),
               TensorMesh(np.array([0.0, 1.01e-4, 2.02e-4, 0.5, 1.0]), _random_lines(rng, 6))]
-    solver_mod._perturbed_meshes_of.cache_clear()
+    solver_mod._perturbed_meshes.cache_clear()
     for mesh in meshes:
         v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
         for alpha in _ALPHAS:
@@ -446,11 +467,11 @@ def test_shared_perturbed_meshes_give_the_per_call_gradient():
 
 def test_perturbed_mesh_memo_holds_one_mesh():
     rng = np.random.default_rng(10)
-    solver_mod._perturbed_meshes_of.cache_clear()
+    solver_mod._perturbed_meshes.cache_clear()
     for _ in range(3):
         mesh = TensorMesh(_random_lines(rng, 6), _random_lines(rng, 5))
         v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
         for h in (1e-6, 1e-5):
             exact_mesh_vjp(mesh, ScenarioParams(1.0), v, h)
-            assert solver_mod._perturbed_meshes_of.cache_info().currsize == 1
-    assert solver_mod._perturbed_meshes_of.cache_info().misses == 6
+            assert solver_mod._perturbed_meshes.cache_info().currsize == 1
+    assert solver_mod._perturbed_meshes.cache_info().misses == 6

@@ -22,7 +22,7 @@ from zo_meshopt.grid import (
     upsample_adjoint,
 )
 from zo_meshopt.optim import adam_step, init_adam
-from zo_meshopt.solver import solve_count, solve_poisson
+from zo_meshopt.solver import exact_mesh_vjp, make_evaluate, solve_count, solve_poisson
 from zo_meshopt.train import (
     INCOMPLETE_MARKER,
     METRICS_HEADER,
@@ -32,13 +32,12 @@ from zo_meshopt.train import (
     loss_backward,
     loss_forward,
     loss_from_coarse_field,
-    mesh_grad,
     node_features,
     rmse,
     sweep,
     train_run,
 )
-from zo_meshopt.zo import ESTIMATOR_KINDS, EstimatorSpec
+from zo_meshopt.zo import ESTIMATOR_KINDS, EstimatorSpec, zo_vjp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,38 +133,6 @@ def test_node_features_layout():
     assert np.array_equal(feats[:, 3], np.full(9, 0.75))
     assert feats[1, 0] == 0.5 and feats[1, 1] == 0.0
     assert np.array_equal(feats[:, 2], np.arange(9.0))
-
-
-def test_mesh_grad_contracts():
-    coarse = uniform_mesh(5)
-    scenario = ScenarioParams(alpha=1.0)
-    v = Field(np.ones(coarse.n_nodes), coarse.shape)
-
-    def solves_of(mode, spec=None, base_output=None):
-        before = solve_count()
-        g = mesh_grad(mode, coarse, v, scenario, spec, base_output=base_output)
-        return g, solve_count() - before
-
-    g, n = solves_of("frozen")
-    assert n == 0 and np.all(g == 0.0)
-
-    g, n = solves_of("exact")
-    assert n == 2 * coarse.n_params
-    assert np.any(g != 0.0)
-
-    base = solve_poisson(coarse, scenario).field.values
-    spec = EstimatorSpec(kind="gaussian", b=3, seed=0)
-    g, n = solves_of("gaussian", spec, base)
-    assert n == 3
-
-    with pytest.raises(ConfigError):
-        mesh_grad("gaussian", coarse, v, scenario, None, base_output=base)
-    with pytest.raises(ValueError):
-        mesh_grad("gaussian", coarse, v, scenario, spec, base_output=None)
-    with pytest.raises(ConfigError):
-        mesh_grad("warp", coarse, v, scenario)
-    with pytest.raises(ConfigError, match="does not match"):
-        mesh_grad("coordinate", coarse, v, scenario, spec, base_output=base)
 
 
 def test_gauss_coord_subset_clipped_to_dimension(tmp_path):
@@ -490,10 +457,13 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
         )
         grads, v = loss_backward(cache)
         theta_grads.append(grads)
-        spec = dataclasses.replace(est, seed=est.seed + k) if mode != "exact" else None
         v_scaled = Field(v.values / order.size, v.mesh_shape)
-        mesh_g += mesh_grad(mode, coarse, v_scaled, scenario, spec,
-                            base_output=coarse_field.values)
+        if mode == "exact":
+            mesh_g += exact_mesh_vjp(coarse, scenario, v_scaled)
+        else:
+            mesh_g += zo_vjp(make_evaluate(coarse, scenario), mesh_to_params(coarse),
+                             coarse_field.values, v_scaled.values,
+                             dataclasses.replace(est, seed=est.seed + k))
     _, want_theta = adam_step(
         init_adam(net.n_params(netp.layer_dims), config.lr),
         netp.flat,
