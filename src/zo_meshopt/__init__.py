@@ -29,7 +29,6 @@ from .train import (
     TrainConfig,
     declared_evals,
     loss_backward,
-    loss_forward,
     rmse,
     sweep,
     train_run,
@@ -57,7 +56,6 @@ __all__ = [
     "init_coarse_from_fine",
     "init_params",
     "loss_backward",
-    "loss_forward",
     "make_evaluate",
     "mesh_to_params",
     "nearest_upsample",

@@ -1,8 +1,10 @@
 """Per-node correction network: a small tanh MLP with hand-written gradients.
 
 The API is batch-first: features are (n, d0), predictions are (n, d_out)
-and input gradients are (n, d0).  backward differentiates
-sum(cotangent * predictions) exactly in the workspace's arithmetic.
+and input gradients are (n, d0).  forward returns a ``ForwardCache`` that
+holds its parameters, and backward takes only that cache and a cotangent:
+it differentiates sum(cotangent * predictions) with respect to the
+parameters that made the predictions, exactly in the workspace's arithmetic.
 
 Parameters are float64 (``MlpParams.flat``), and so are the parameter
 gradients ``backward`` returns.  The passes themselves run in the compute
@@ -190,24 +192,23 @@ def forward(
 
 
 def backward(
-    params: MlpParams,
     cache: ForwardCache,
     prediction_cotangent: np.ndarray,
     *,
     input_grads: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reverse-mode gradients of sum(cotangent * predictions).
+    """Reverse-mode gradients of sum(cotangent * predictions) with respect
+    to ``cache.params``, the parameters of the forward pass that made it.
 
     The cotangent is cast to the workspace's dtype.  Returns the parameter
-    gradients, one fresh float64 vector laid out as ``params.flat``, and
-    per-row input gradients (n, d0); the latter are
+    gradients, one fresh float64 vector laid out as ``cache.params.flat``,
+    and per-row input gradients (n, d0); the latter are
     ``cache.workspace.input_grads``, in its dtype, or None with
     ``input_grads=False``, which skips their product.  Consumes the cache:
     the hidden activations are overwritten, and a second backward on it
     raises ValueError.
     """
-    if cache.params is not params:
-        raise ValueError("cache was produced by a different forward pass")
+    params = cache.params
     ws = cache.workspace
     if cache.generation != ws.generation:
         raise ValueError(

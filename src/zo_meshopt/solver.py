@@ -42,10 +42,11 @@ mesh of the block is one ``solve_poisson`` call.  The cache saves
 eigendecompositions, not solves: each call still builds its source, solves,
 checks its residual and returns its own report.
 
-The oracle's perturbed meshes depend only on the base mesh and the step h,
-not on the scenario, so ``exact_mesh_vjp`` projects them once per base mesh
-(a one-entry memo keyed on the mesh, which compares by content, and h) and
-every scenario alpha of an epoch solves the same 2 * D meshes as one block.
+The oracle steps each mesh parameter by the module constant ``FD_STEP``, so
+its perturbed meshes depend only on the base mesh, not on the scenario:
+``exact_mesh_vjp`` projects them once per base mesh (a one-entry memo keyed
+on the mesh, which compares by content) and every scenario alpha of an epoch
+solves the same 2 * D meshes as one block.
 
 The solver counts its own calls.  Every one-mesh solve adds one to a
 process-wide count, read by ``solve_count()``, before it runs, so a solve
@@ -67,6 +68,9 @@ from .errors import SolverError
 from .grid import Field, ScenarioParams, TensorMesh, mesh_to_params, params_to_meshes
 
 RESIDUAL_TOL = 1e-10
+
+# Step of exact_mesh_vjp's central differences, in mesh-parameter units.
+FD_STEP = 1e-6
 
 # Distinct axes kept factorized.  The largest working set is the exact
 # oracle's: a coarse n x n mesh has D = 2 (n - 2) interior lines, its 2 D
@@ -254,28 +258,26 @@ def make_evaluate(
 
 
 @functools.lru_cache(maxsize=1)
-def _perturbed_meshes(mesh: TensorMesh, h: float) -> tuple[TensorMesh, ...]:
+def _perturbed_meshes(mesh: TensorMesh) -> tuple[TensorMesh, ...]:
     """The oracle's 2 * D meshes p0 + h e_k, p0 - h e_k, k = 0 .. D - 1, in
-    that order, shared by every scenario solved on this mesh; projected in
-    one block once per base mesh and step."""
+    that order, with h = FD_STEP, shared by every scenario solved on this
+    mesh; projected in one block once per base mesh."""
     p0 = mesh_to_params(mesh)
     steps = np.zeros((2 * p0.size, p0.size))
     k = np.arange(p0.size)
-    steps[2 * k, k] = h
-    steps[2 * k + 1, k] = -h
+    steps[2 * k, k] = FD_STEP
+    steps[2 * k + 1, k] = -FD_STEP
     return tuple(params_to_meshes(mesh, p0 + steps))
 
 
-def exact_mesh_vjp(
-    mesh: TensorMesh, params: ScenarioParams, v: Field, h: float = 1e-6
-) -> np.ndarray:
+def exact_mesh_vjp(mesh: TensorMesh, params: ScenarioParams, v: Field) -> np.ndarray:
     """Central-difference oracle for the mesh-parameter VJP.
 
     Component k is <v, (O(p + h e_k) - O(p - h e_k))> / (2 h) where O maps
-    mesh parameters to solved field values.  Costs 2 * D solves, so
-    ``solve_count()`` and ``n_solver_evals`` grow by 2 * D per call.  The
-    perturbed meshes are projected once per base mesh and step, reused for
-    every scenario, and solved as one block by ``_solve_block``, the
+    mesh parameters to solved field values and h is ``FD_STEP``.  Costs
+    2 * D solves, so ``solve_count()`` and ``n_solver_evals`` grow by 2 * D
+    per call.  The perturbed meshes are projected once per base mesh, reused
+    for every scenario, and solved as one block by ``_solve_block``, the
     estimators' path too.  Each moves one line: it brings that one new axis
     and reuses the base mesh's other axis, and the same 2 * D + 2 axes serve
     every scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart from
@@ -283,10 +285,8 @@ def exact_mesh_vjp(
     """
     if v.mesh_shape != mesh.shape:
         raise ValueError(f"cotangent shape {v.mesh_shape} does not match mesh {mesh.shape}")
-    if h <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
-    fields = _solve_block(_perturbed_meshes(mesh, h), params)
+    fields = _solve_block(_perturbed_meshes(mesh), params)
     grad = np.empty(mesh.n_params)
     for k in range(grad.size):
-        grad[k] = float(v.values @ (fields[2 * k] - fields[2 * k + 1])) / (2.0 * h)
+        grad[k] = float(v.values @ (fields[2 * k] - fields[2 * k + 1])) / (2.0 * FD_STEP)
     return grad

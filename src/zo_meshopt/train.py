@@ -213,24 +213,6 @@ def loss_from_coarse_field(
     return loss, LossCache(coarse_mesh, fine_mesh, cache, preds, resid)
 
 
-def loss_forward(
-    coarse_mesh: TensorMesh,
-    net_params: net.MlpParams,
-    scenario: ScenarioParams,
-    fine_mesh: TensorMesh,
-    fine_field: Field,
-    *,
-    workspace: net.Workspace | None = None,
-) -> tuple[float, LossCache, Field]:
-    """Coarse solve, nearest upsample, network correction, MSE against truth."""
-    coarse_field = solve_poisson(coarse_mesh, scenario).field
-    loss, cache = loss_from_coarse_field(
-        coarse_mesh, net_params, scenario, coarse_field, fine_mesh, fine_field,
-        workspace=workspace,
-    )
-    return loss, cache, coarse_field
-
-
 def loss_backward(
     cache: LossCache, *, mesh_cotangent: bool = True
 ) -> tuple[np.ndarray, Field | None]:
@@ -243,9 +225,7 @@ def loss_backward(
     returned (None).
     """
     cot = 2.0 * cache.resid[:, None] / cache.resid.size
-    grads, input_grads = net.backward(
-        cache.net_cache.params, cache.net_cache, cot, input_grads=mesh_cotangent
-    )
+    grads, input_grads = net.backward(cache.net_cache, cot, input_grads=mesh_cotangent)
     if not mesh_cotangent:
         return grads, None
     fine_cot = Field(input_grads[:, 2], cache.fine_mesh.shape)
@@ -407,8 +387,10 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                 # before the next scenario's forward refills it.
                 for alpha in batch_alphas:
                     scenario = ScenarioParams(alpha)
-                    loss, cache, coarse_field = loss_forward(
-                        coarse, netp, scenario, fine_mesh, fine_truth(alpha),
+                    truth = fine_truth(alpha)
+                    coarse_field = solve_poisson(coarse, scenario).field
+                    loss, cache = loss_from_coarse_field(
+                        coarse, netp, scenario, coarse_field, fine_mesh, truth,
                         workspace=workspace,
                     )
                     losses.append(loss)
@@ -446,10 +428,11 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
             if config.test_alphas:
                 test_outputs = []
                 for alpha in config.test_alphas:
+                    scenario = ScenarioParams(alpha)
                     truth = fine_truth(alpha)
-                    _, cache, _ = loss_forward(
-                        coarse, netp, ScenarioParams(alpha), fine_mesh, truth,
-                        workspace=workspace,
+                    _, cache = loss_from_coarse_field(
+                        coarse, netp, scenario, solve_poisson(coarse, scenario).field,
+                        fine_mesh, truth, workspace=workspace,
                     )
                     # Field copies the predictions out of the workspace.
                     pred = Field(cache.predictions[:, 0], fine_mesh.shape)

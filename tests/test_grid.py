@@ -53,8 +53,8 @@ def test_mesh_memos_hit_on_an_equal_mesh_object():
     assert grid_mod._upsample_map(copy, uniform_mesh(9)) is first
     assert grid_mod._upsample_map.cache_info()[:2] == (1, 1)  # (hits, misses)
     solver_mod._perturbed_meshes.cache_clear()
-    first = solver_mod._perturbed_meshes(coarse, 1e-6)
-    assert solver_mod._perturbed_meshes(copy, 1e-6) is first
+    first = solver_mod._perturbed_meshes(coarse)
+    assert solver_mod._perturbed_meshes(copy) is first
     assert solver_mod._perturbed_meshes.cache_info()[:2] == (1, 1)
 
 

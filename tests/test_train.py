@@ -30,7 +30,6 @@ from zo_meshopt.train import (
     declared_evals,
     initial_coarse_mesh,
     loss_backward,
-    loss_forward,
     loss_from_coarse_field,
     node_features,
     rmse,
@@ -58,7 +57,7 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
-def test_loss_forward_matches_recomputation():
+def test_loss_from_coarse_field_matches_recomputation():
     """Rebuild the pipeline by hand: solve, upsample, net forward, MSE."""
     fine = uniform_mesh(9)
     coarse = uniform_mesh(5)
@@ -66,7 +65,8 @@ def test_loss_forward_matches_recomputation():
     netp = net.init_params((4, 8, 1), seed=3)
     truth = solve_poisson(fine, scenario).field
 
-    loss, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
+    coarse_field = solve_poisson(coarse, scenario).field
+    loss, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
 
     ref_coarse = solve_poisson(coarse, scenario).field
     assert np.array_equal(coarse_field.values, ref_coarse.values)
@@ -84,7 +84,8 @@ def test_loss_backward_theta_directional_fd():
     scenario = ScenarioParams(alpha=1.2)
     netp = net.init_params((4, 8, 1), seed=1)
     truth = solve_poisson(fine, scenario).field
-    _, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
+    coarse_field = solve_poisson(coarse, scenario).field
+    _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
     grads, _ = loss_backward(cache)
 
     rng = np.random.default_rng(10)
@@ -110,7 +111,8 @@ def test_loss_backward_coarse_cotangent_fd():
     scenario = ScenarioParams(alpha=0.8)
     netp = net.init_params((4, 8, 1), seed=2)
     truth = solve_poisson(fine, scenario).field
-    _, cache, coarse_field = loss_forward(coarse, netp, scenario, fine, truth)
+    coarse_field = solve_poisson(coarse, scenario).field
+    _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
     _, v_coarse = loss_backward(cache)
 
     rng = np.random.default_rng(11)
@@ -451,8 +453,9 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
     for k, idx in enumerate(order):
         scenario = ScenarioParams(config.train_alphas[idx])
         truth = solve_poisson(fine, scenario).field
-        _, cache, coarse_field = loss_forward(
-            coarse, netp, scenario, fine, truth,
+        coarse_field = solve_poisson(coarse, scenario).field
+        _, cache = loss_from_coarse_field(
+            coarse, netp, scenario, coarse_field, fine, truth,
             workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
         )
         grads, v = loss_backward(cache)
@@ -512,8 +515,8 @@ def test_float32_run_keeps_float64_gradients_weights_adam_and_checkpoint(tmp_pat
     passes = []
     real_backward = net.backward
 
-    def recording(params, cache, cot, **kw):
-        grads, input_grads = real_backward(params, cache, cot, **kw)
+    def recording(cache, cot, **kw):
+        grads, input_grads = real_backward(cache, cot, **kw)
         passes.append((cache.workspace.dtype, grads.dtype))
         return grads, input_grads
 
@@ -540,9 +543,9 @@ def test_test_rmse_matches_manual_recompute(tmp_path):
     for alpha in config.test_alphas:
         scenario = ScenarioParams(alpha)
         truth = solve_poisson(fine, scenario).field
-        _, cache, _ = loss_forward(
-            state.mesh, state.net, scenario, fine, truth,
-            workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
+        _, cache = loss_from_coarse_field(
+            state.mesh, state.net, scenario, solve_poisson(state.mesh, scenario).field,
+            fine, truth, workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
         )
         per.append(rmse(Field(cache.predictions[:, 0], fine.shape), truth))
     assert metrics[-1].test_rmse == pytest.approx(float(np.mean(per)), rel=0, abs=1e-15)
