@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from zo_meshopt.grid import Field, ScenarioParams, mesh_to_params, uniform_mesh
+from zo_meshopt.grid import ScenarioParams, mesh_to_params, uniform_mesh
 from zo_meshopt.solver import exact_mesh_vjp, make_evaluate, solve_poisson
 from zo_meshopt.zo import EstimatorSpec, zo_vjp
 
@@ -27,13 +27,12 @@ def main(argv=None):
 
     mesh = uniform_mesh(args.coarse_n)
     scenario = ScenarioParams(alpha=args.alpha)
-    base = solve_poisson(mesh, scenario).field
+    base = solve_poisson(mesh, scenario).field.values
     rng = np.random.default_rng(args.seed)
-    v = rng.standard_normal(base.values.size)
+    v = rng.standard_normal(base.size)
     v /= np.linalg.norm(v)
-    v_field = Field(v, mesh.shape)
 
-    exact = exact_mesh_vjp(mesh, scenario, v_field)
+    exact = exact_mesh_vjp(mesh, scenario, v)
     evaluate = make_evaluate(mesh, scenario)
     p0 = mesh_to_params(mesh)
     exact_norm = np.linalg.norm(exact)
@@ -51,7 +50,7 @@ def main(argv=None):
         spec = EstimatorSpec(kind=kind, mu=args.mu, b=b, d=d, seed=0)
         estimates = np.empty((args.trials, dim))
         for i in range(args.trials):
-            estimates[i] = zo_vjp(evaluate, p0, base.values, v, replace(spec, seed=i))
+            estimates[i] = zo_vjp(evaluate, p0, base, v, replace(spec, seed=i))
         cos = np.array([
             e @ exact / (np.linalg.norm(e) * exact_norm + 1e-300) for e in estimates
         ])

@@ -3,9 +3,12 @@
 A mesh is a pair of strictly increasing grid-line position arrays with the
 boundary lines pinned to 0 and 1.  The trainable degrees of freedom are the
 interior line positions, flattened to one parameter vector (interior x-lines
-first, then interior y-lines).  Fields store one value per node in row-major
-order over (j, i): node (i, j) sits at (x_lines[i], y_lines[j]) and lives at
-flat index j * nx + i, so each stored row follows one y-line.  Nearest
+first, then interior y-lines).  A field is the flat float64 array of its
+mesh's node values, row-major over (j, i): node (i, j) sits at
+(x_lines[i], y_lines[j]) and lives at flat index j * nx + i, so each row of
+its (ny, nx) grid follows one y-line.  Its mesh gives its shape, and
+``check_field`` tests the fit.  Only the solver's report wraps a solution
+in a read-only ``Field``.  Nearest
 upsampling and its adjoint share one fine-to-coarse node map, cached per
 (coarse, fine) pair and keyed on the meshes, which compare by content.
 """
@@ -296,35 +299,37 @@ def _upsample_map(coarse: TensorMesh, fine: TensorMesh) -> np.ndarray:
     return flat
 
 
-def nearest_upsample(coarse: TensorMesh, field: Field, fine: TensorMesh) -> Field:
+def check_field(values: np.ndarray, mesh: TensorMesh) -> None:
+    """Raise ValueError unless values is a field of mesh: one value per node."""
+    if np.shape(values) != (mesh.n_nodes,):
+        nx, ny = mesh.shape
+        raise ValueError(f"values of shape {np.shape(values)} are not a field of a {nx}x{ny} mesh")
+
+
+def nearest_upsample(coarse: TensorMesh, field: np.ndarray, fine: TensorMesh) -> np.ndarray:
     """Copy each fine node's value from its nearest coarse node.
 
     Euclidean distance on a tensor-product grid separates per axis, so the
     nearest coarse node is the pair of per-axis nearest lines; ties go to the
     smaller (i, j) index.  A gather through the cached fine-to-coarse map.
     """
-    if field.mesh_shape != coarse.shape:
-        raise ValueError(
-            f"field shape {field.mesh_shape} does not match coarse mesh {coarse.shape}"
-        )
-    return Field(field.values[_upsample_map(coarse, fine)], fine.shape)
+    check_field(field, coarse)
+    return field[_upsample_map(coarse, fine)]
 
 
-def upsample_adjoint(coarse: TensorMesh, fine: TensorMesh, fine_cotangent: Field) -> Field:
+def upsample_adjoint(
+    coarse: TensorMesh, fine: TensorMesh, fine_cotangent: np.ndarray
+) -> np.ndarray:
     """Exact transpose of nearest_upsample: scatter-add over the same cached
     map.
 
     bincount adds each fine value to its coarse node in fine-node order,
     the same sums np.add.at would make.
     """
-    if fine_cotangent.mesh_shape != fine.shape:
-        raise ValueError(
-            f"cotangent shape {fine_cotangent.mesh_shape} does not match fine mesh {fine.shape}"
-        )
-    acc = np.bincount(
-        _upsample_map(coarse, fine), weights=fine_cotangent.values, minlength=coarse.n_nodes
+    check_field(fine_cotangent, fine)
+    return np.bincount(
+        _upsample_map(coarse, fine), weights=fine_cotangent, minlength=coarse.n_nodes
     )
-    return Field(acc, coarse.shape)
 
 
 _HEADER_RE = re.compile(r"# nx=(\d+) ny=(\d+)")
@@ -343,17 +348,19 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_field_csv(field: Field, path: str | Path) -> None:
-    """One row per y-line, comma-separated, after a '# nx=.. ny=..' header;
-    each value is its float repr, so read_field_csv reads it back bit for
-    bit."""
-    nx, ny = field.mesh_shape
+def write_field_csv(field: np.ndarray, mesh: TensorMesh, path: str | Path) -> None:
+    """A field of mesh as its (ny, nx) grid, one row per y-line,
+    comma-separated, after a '# nx=.. ny=..' header; each value is its float
+    repr, so read_field_csv reads it back bit for bit."""
+    check_field(field, mesh)
+    nx, ny = mesh.shape
     lines = [f"# nx={nx} ny={ny}"]
-    lines.extend(",".join(map(repr, row)) for row in field.as_grid().tolist())
+    lines.extend(",".join(map(repr, row)) for row in field.reshape(ny, nx).tolist())
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_field_csv(path: str | Path) -> Field:
+def read_field_csv(path: str | Path) -> np.ndarray:
+    """The flat field write_field_csv wrote, checked against its header."""
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ValueError(f"{path}: empty field file")
@@ -361,8 +368,7 @@ def read_field_csv(path: str | Path) -> Field:
     if match is None:
         raise ValueError(f"{path}: bad field header {text[0]!r}")
     nx, ny = int(match[1]), int(match[2])
-    rows = [np.array([float(tok) for tok in line.split(",")]) for line in text[1:]]
-    grid = np.array(rows)
+    grid = np.array([[float(tok) for tok in line.split(",")] for line in text[1:]])
     if grid.shape != (ny, nx):
         raise ValueError(f"{path}: expected {ny} rows of {nx} values, got {grid.shape}")
-    return Field(grid.ravel(), (nx, ny))
+    return grid.ravel()

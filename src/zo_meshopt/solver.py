@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import SolverError
-from .grid import Field, ScenarioParams, TensorMesh, mesh_to_params, params_to_meshes
+from .grid import Field, ScenarioParams, TensorMesh, check_field, mesh_to_params, params_to_meshes
 
 RESIDUAL_TOL = 1e-10
 
@@ -270,23 +270,23 @@ def _perturbed_meshes(mesh: TensorMesh) -> tuple[TensorMesh, ...]:
     return tuple(params_to_meshes(mesh, p0 + steps))
 
 
-def exact_mesh_vjp(mesh: TensorMesh, params: ScenarioParams, v: Field) -> np.ndarray:
+def exact_mesh_vjp(mesh: TensorMesh, params: ScenarioParams, v: np.ndarray) -> np.ndarray:
     """Central-difference oracle for the mesh-parameter VJP.
 
     Component k is <v, (O(p + h e_k) - O(p - h e_k))> / (2 h) where O maps
-    mesh parameters to solved field values and h is ``FD_STEP``.  Costs
-    2 * D solves, so ``solve_count()`` and ``n_solver_evals`` grow by 2 * D
-    per call.  The perturbed meshes are projected once per base mesh, reused
-    for every scenario, and solved as one block by ``_solve_block``, the
-    estimators' path too.  Each moves one line: it brings that one new axis
-    and reuses the base mesh's other axis, and the same 2 * D + 2 axes serve
-    every scenario alpha, all within ``_AXIS_CACHE_SIZE``.  Kept apart from
-    the estimator code, which must only ever see make_evaluate.
+    mesh parameters to solved field values, v is a field of the mesh and h
+    is ``FD_STEP``.  Costs 2 * D solves, so ``solve_count()`` and
+    ``n_solver_evals`` grow by 2 * D per call.  The perturbed meshes are
+    projected once per base mesh, reused for every scenario, and solved as
+    one block by ``_solve_block``, the estimators' path too.  Each moves one
+    line: it brings that one new axis and reuses the base mesh's other axis,
+    and the same 2 * D + 2 axes serve every scenario alpha, all within
+    ``_AXIS_CACHE_SIZE``.  Kept apart from the estimator code, which must
+    only ever see make_evaluate.
     """
-    if v.mesh_shape != mesh.shape:
-        raise ValueError(f"cotangent shape {v.mesh_shape} does not match mesh {mesh.shape}")
+    check_field(v, mesh)
     fields = _solve_block(_perturbed_meshes(mesh), params)
     grad = np.empty(mesh.n_params)
     for k in range(grad.size):
-        grad[k] = float(v.values @ (fields[2 * k] - fields[2 * k + 1])) / (2.0 * FD_STEP)
+        grad[k] = float(v @ (fields[2 * k] - fields[2 * k + 1])) / (2.0 * FD_STEP)
     return grad

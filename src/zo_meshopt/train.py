@@ -25,7 +25,6 @@ import numpy as np
 from . import net
 from .errors import ConfigError
 from .grid import (
-    Field,
     ScenarioParams,
     TensorMesh,
     init_coarse_from_fine,
@@ -52,9 +51,10 @@ INCOMPLETE_MARKER = "# incomplete"
 class TrainConfig:
     """One training run.  mesh_mode names the mesh-gradient method; for an
     estimator mode the estimator spec only tunes it.  Construction sets the
-    spec's kind to mesh_mode and caps gauss_coord's subset size d at
-    mesh_dim, so the stored spec is the one that runs, apart from the seed
-    offset each estimator call adds."""
+    spec's kind to mesh_mode in an estimator mode and caps a gauss_coord
+    spec's subset size d at mesh_dim in every mode, so the stored spec is
+    the one that runs, apart from the seed offset each estimator call adds.
+    The spec is validated in every mode, whether or not it runs."""
 
     fine_n: int = 33
     coarse_n: int = 9
@@ -71,14 +71,10 @@ class TrainConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.mesh_mode in ESTIMATOR_KINDS:
-            est = self.estimator
-            d = min(est.d, self.mesh_dim) if self.mesh_mode == "gauss_coord" else est.d
-            object.__setattr__(
-                self,
-                "estimator",
-                EstimatorSpec(kind=self.mesh_mode, mu=est.mu, b=est.b, d=d, seed=est.seed),
-            )
+        est = self.estimator
+        kind = self.mesh_mode if self.mesh_mode in ESTIMATOR_KINDS else est.kind
+        d = min(est.d, self.mesh_dim) if kind == "gauss_coord" else est.d
+        object.__setattr__(self, "estimator", replace(est, kind=kind, d=d))
 
     @property
     def mesh_dim(self) -> int:
@@ -143,8 +139,7 @@ class TrainConfig:
             raise ConfigError(f"mesh_lr must be positive and finite, got {self.mesh_lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.mesh_mode in ESTIMATOR_KINDS:
-            self.estimator.validate(self.mesh_dim)
+        self.estimator.validate(self.mesh_dim)
 
 
 @dataclass(frozen=True)
@@ -191,9 +186,9 @@ def loss_from_coarse_field(
     coarse_mesh: TensorMesh,
     net_params: net.MlpParams,
     scenario: ScenarioParams,
-    coarse_field: Field,
+    coarse_field: np.ndarray,
     fine_mesh: TensorMesh,
-    fine_field: Field,
+    fine_field: np.ndarray,
     *,
     workspace: net.Workspace | None = None,
 ) -> tuple[float, LossCache]:
@@ -205,17 +200,17 @@ def loss_from_coarse_field(
     """
     u_up = nearest_upsample(coarse_mesh, coarse_field, fine_mesh)
     feats = node_features(
-        fine_mesh, u_up.values, scenario.alpha, None if workspace is None else workspace.features
+        fine_mesh, u_up, scenario.alpha, None if workspace is None else workspace.features
     )
     preds, cache = net.forward(net_params, feats, workspace)
-    resid = preds[:, 0] - fine_field.values
+    resid = preds[:, 0] - fine_field
     loss = float(resid @ resid / resid.size)
     return loss, LossCache(coarse_mesh, fine_mesh, cache, preds, resid)
 
 
 def loss_backward(
     cache: LossCache, *, mesh_cotangent: bool = True
-) -> tuple[np.ndarray, Field | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact gradients of one scenario's MSE.
 
     Returns the network parameter gradients, laid out as ``MlpParams.flat``,
@@ -228,17 +223,14 @@ def loss_backward(
     grads, input_grads = net.backward(cache.net_cache, cot, input_grads=mesh_cotangent)
     if not mesh_cotangent:
         return grads, None
-    fine_cot = Field(input_grads[:, 2], cache.fine_mesh.shape)
-    v_coarse = upsample_adjoint(cache.coarse_mesh, cache.fine_mesh, fine_cot)
-    return grads, v_coarse
+    return grads, upsample_adjoint(cache.coarse_mesh, cache.fine_mesh, input_grads[:, 2])
 
 
-def rmse(pred: Field, truth: Field) -> float:
-    if pred.mesh_shape != truth.mesh_shape:
-        raise ValueError(
-            f"field shapes {pred.mesh_shape} and {truth.mesh_shape} do not match"
-        )
-    diff = pred.values - truth.values
+def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Root-mean-square difference of two fields of one mesh."""
+    if pred.ndim != 1 or pred.shape != truth.shape:
+        raise ValueError(f"field shapes {pred.shape} and {truth.shape} do not match")
+    diff = pred - truth
     return float(np.sqrt(diff @ diff / diff.size))
 
 
@@ -337,6 +329,17 @@ def write_checkpoint(path: str | Path, config: TrainConfig, state: TrainState) -
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _make_out_dir(path: str | Path) -> Path:
+    """Make an output directory and its parents; a path that cannot be made
+    one, such as an existing file, is a ConfigError that names it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {out}: {err.strerror}") from None
+    return out
+
+
 def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     """Run the full training loop and write the run's files into out_dir:
     checkpoint.json, the last epoch's pred/truth CSVs per test alpha, and
@@ -345,20 +348,19 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     On any exception, KeyboardInterrupt included, the metrics collected so
     far are flushed with a trailing incomplete marker and the exception
     re-raised, so a metrics.csv without the marker vouches for every file
-    beside it.
+    beside it.  An out_dir that cannot be made raises ConfigError first.
     """
     config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(config.out_dir)
     solves0 = solve_count()
 
     fine_mesh = uniform_mesh(config.fine_n)
     workspace = net.Workspace(net.DEFAULT_DIMS, fine_mesh.n_nodes, np.float32)
-    truths: dict[float, Field] = {}
+    truths: dict[float, np.ndarray] = {}
 
-    def fine_truth(alpha: float) -> Field:
+    def fine_truth(alpha: float) -> np.ndarray:
         if alpha not in truths:
-            truths[alpha] = solve_poisson(fine_mesh, ScenarioParams(alpha)).field
+            truths[alpha] = solve_poisson(fine_mesh, ScenarioParams(alpha)).field.values
         return truths[alpha]
 
     coarse = initial_coarse_mesh(config)
@@ -370,7 +372,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     est_calls = 0
     metrics: list[EpochMetrics] = []
-    test_outputs: list[tuple[float, Field, Field]] = []
+    test_outputs: list[tuple[float, np.ndarray, np.ndarray]] = []
     start = time.perf_counter()
     try:
         for epoch in range(config.epochs):
@@ -388,7 +390,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                 for alpha in batch_alphas:
                     scenario = ScenarioParams(alpha)
                     truth = fine_truth(alpha)
-                    coarse_field = solve_poisson(coarse, scenario).field
+                    coarse_field = solve_poisson(coarse, scenario).field.values
                     loss, cache = loss_from_coarse_field(
                         coarse, netp, scenario, coarse_field, fine_mesh, truth,
                         workspace=workspace,
@@ -397,7 +399,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     grads, v_coarse = loss_backward(cache, mesh_cotangent=joint)
                     theta_grads.append(grads)
                     if joint:
-                        v_scaled = Field(v_coarse.values / n_batch, v_coarse.mesh_shape)
+                        v_scaled = v_coarse / n_batch
                         if config.mesh_mode == "exact":
                             mesh_g += exact_mesh_vjp(coarse, scenario, v_scaled)
                         else:
@@ -408,8 +410,8 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                             mesh_g += zo_vjp(
                                 make_evaluate(coarse, scenario),
                                 mesh_to_params(coarse),
-                                coarse_field.values,
-                                v_scaled.values,
+                                coarse_field,
+                                v_scaled,
                                 spec,
                             )
                 batch_losses.append(float(np.mean(losses)))
@@ -431,11 +433,11 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     scenario = ScenarioParams(alpha)
                     truth = fine_truth(alpha)
                     _, cache = loss_from_coarse_field(
-                        coarse, netp, scenario, solve_poisson(coarse, scenario).field,
+                        coarse, netp, scenario, solve_poisson(coarse, scenario).field.values,
                         fine_mesh, truth, workspace=workspace,
                     )
-                    # Field copies the predictions out of the workspace.
-                    pred = Field(cache.predictions[:, 0], fine_mesh.shape)
+                    # Copied out of the workspace, which the next forward refills.
+                    pred = cache.predictions[:, 0].astype(float)
                     test_outputs.append((alpha, pred, truth))
                 test_rmse = float(np.mean([rmse(pred, truth) for _, pred, truth in test_outputs]))
             else:
@@ -453,8 +455,8 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
         state = TrainState(coarse, netp, adam_net, adam_mesh)
         write_checkpoint(out / "checkpoint.json", config, state)
         for alpha, pred, truth in test_outputs:
-            write_field_csv(pred, out / f"pred_alpha_{alpha:g}.csv")
-            write_field_csv(truth, out / f"truth_alpha_{alpha:g}.csv")
+            write_field_csv(pred, fine_mesh, out / f"pred_alpha_{alpha:g}.csv")
+            write_field_csv(truth, fine_mesh, out / f"truth_alpha_{alpha:g}.csv")
         write_metrics_csv(out / "metrics.csv", metrics)
     except BaseException:
         write_metrics_csv(out / "metrics.csv", metrics, incomplete=True)
@@ -471,8 +473,7 @@ def sweep(
     Returns (key, metrics) for each cell, in order."""
     for cfg in cells.values():
         cfg.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     results = [(key, train_run(cfg)[0]) for key, cfg in cells.items()]
     rows = [",".join((*labels, METRICS_HEADER))]
     for key, metrics in results:

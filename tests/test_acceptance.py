@@ -13,7 +13,6 @@ import pytest
 import zo_meshopt.solver as solver_mod
 from zo_meshopt import net
 from zo_meshopt.grid import (
-    Field,
     ScenarioParams,
     mesh_to_params,
     nearest_upsample,
@@ -192,39 +191,38 @@ def test_differentiation_oracles():
     adj_rng = np.random.default_rng(7)
     worst_adj = 0.0
     for _ in range(20):
-        w = Field(adj_rng.standard_normal(coarse.n_nodes), coarse.shape)
-        z = Field(adj_rng.standard_normal(fine.n_nodes), fine.shape)
-        lhs = float(nearest_upsample(coarse, w, fine).values @ z.values)
-        rhs = float(w.values @ upsample_adjoint(coarse, fine, z).values)
+        w = adj_rng.standard_normal(coarse.n_nodes)
+        z = adj_rng.standard_normal(fine.n_nodes)
+        lhs = float(nearest_upsample(coarse, w, fine) @ z)
+        rhs = float(w @ upsample_adjoint(coarse, fine, z))
         worst_adj = max(worst_adj, abs(lhs - rhs))
 
     scenario = ScenarioParams(alpha=0.8)
     netp2 = net.init_params((4, 8, 1), seed=2)
-    truth = solve_poisson(fine, scenario).field
-    coarse_field = solve_poisson(coarse, scenario).field
+    truth = solve_poisson(fine, scenario).field.values
+    coarse_field = solve_poisson(coarse, scenario).field.values
     _, lcache = loss_from_coarse_field(coarse, netp2, scenario, coarse_field, fine, truth)
     _, v_coarse = loss_backward(lcache)
     w = np.random.default_rng(11).standard_normal(coarse.n_nodes)
 
     def loss_with(values):
-        f = Field(values, coarse.shape)
-        loss, _ = loss_from_coarse_field(coarse, netp2, scenario, f, fine, truth)
+        loss, _ = loss_from_coarse_field(coarse, netp2, scenario, values, fine, truth)
         return loss
 
     hh = 1e-6
-    fd = (loss_with(coarse_field.values + hh * w) - loss_with(coarse_field.values - hh * w)) / (2 * hh)
-    analytic = float(v_coarse.values @ w)
+    fd = (loss_with(coarse_field + hh * w) - loss_with(coarse_field - hh * w)) / (2 * hh)
+    analytic = float(v_coarse @ w)
     rel_v = abs(analytic - fd) / max(abs(fd), 1e-12)
 
     # A full coordinate pass (b = D) through the opaque solver interface
     # points along the central-difference mesh VJP: report 1 - cosine.
     mesh, unit = uniform_mesh(5), ScenarioParams(alpha=1.0)
-    v_mesh = Field(np.random.default_rng(13).standard_normal(mesh.n_nodes), mesh.shape)
+    v_mesh = np.random.default_rng(13).standard_normal(mesh.n_nodes)
     exact = exact_mesh_vjp(mesh, unit, v_mesh)
     p0 = mesh_to_params(mesh)
     spec = EstimatorSpec("coordinate", mu=1e-3, b=p0.size, seed=17)
     est = zo_vjp(make_evaluate(mesh, unit), p0, solve_poisson(mesh, unit).field.values,
-                 v_mesh.values, spec)
+                 v_mesh, spec)
     cos_gap = 1.0 - float(est @ exact / (np.linalg.norm(est) * np.linalg.norm(exact)))
 
     elapsed = time.perf_counter() - t0

@@ -202,6 +202,39 @@ def test_matching_or_unused_estimator_kind_loads(tmp_path, mode, kind, loaded):
     assert (config.mesh_mode, config.estimator.kind) == (mode, loaded)
 
 
+@pytest.mark.parametrize("mode", ["frozen", "exact"])
+@pytest.mark.parametrize("estimator,flags,message", [
+    ({}, ["--b", "0", "--mu", "-5"], "perturbation size mu must be positive"),
+    ({}, ["--b", "0"], "draw count b must be at least 1, got 0"),
+    ({"kind": "bogus"}, [], "unknown estimator kind 'bogus'"),
+], ids=["flags", "flag-b", "config-kind"])
+def test_bad_estimator_settings_exit_two_in_every_mode(tmp_path, capsys, mode, estimator,
+                                                       flags, message):
+    """The estimator spec is checked in every mesh mode, where it does not
+    run too, so no run records settings an estimator mode would refuse."""
+    cfg = write_config(tmp_path / "c.json", mesh_mode=mode, estimator=estimator)
+    assert cli.main(["train", "--config", str(cfg), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_output_path_that_is_a_file_exits_two(tmp_path, capsys, command):
+    """An existing file where the output directory should go, given by
+    --out or by the config, is a usage error that names the path, not a
+    traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "train":
+        argv = ["train", "--out", str(taken), "--config", str(write_config(tmp_path / "c.json"))]
+    else:
+        argv = ["sweep", "modes", "--config",
+                str(write_config(tmp_path / "c.json", out_dir=str(taken)))]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot make output directory {taken}")
+    assert taken.read_text() == ""
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["frobnicate"]) == 2
 
@@ -292,10 +325,10 @@ def test_sweep_bd_trains_each_distinct_cell_once(tmp_path):
 ], ids=["scales", "modes", "test-alpha-clash"])
 def test_sweep_checks_every_cell_before_training(tmp_path, capsys, monkeypatch, what,
                                                  overrides, message):
-    """At fine 9 the coarse-9 cell is invalid, with b = 0 every estimator
-    cell is, and with two test alphas of one file name every cell is: the
-    sweep exits 2 before the valid cells (coarse 5 and 7; frozen and exact)
-    train."""
+    """At fine 9 the coarse-9 cell is invalid, and the sweep exits 2 before
+    the valid cells (coarse 5 and 7) train.  With b = 0, or with two test
+    alphas of one file name, every cell is invalid, the frozen and exact
+    ones too, and the sweep exits 2 before any cell trains."""
     trained = []
     monkeypatch.setattr(train_mod, "train_run", lambda cfg: trained.append(cfg) or ([], None))
     cfg = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "sw"), **overrides)

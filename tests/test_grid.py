@@ -281,23 +281,23 @@ def test_nearest_upsample_matches_brute_force():
                             np.concatenate([[0.0], cy, [1.0]]))
         fine = uniform_mesh(17)
         vals = rng.standard_normal(coarse.n_nodes)
-        up = nearest_upsample(coarse, Field(vals, coarse.shape), fine)
+        up = nearest_upsample(coarse, vals, fine)
         nxc = coarse.shape[0]
         for j, yv in enumerate(fine.y_lines):
             for i, xv in enumerate(fine.x_lines):
                 ic = brute_nearest_index(coarse.x_lines, xv)
                 jc = brute_nearest_index(coarse.y_lines, yv)
-                assert up.values[j * 17 + i] == vals[jc * nxc + ic]
+                assert up[j * 17 + i] == vals[jc * nxc + ic]
 
 
 def test_nearest_upsample_tie_prefers_lower_index():
     coarse = TensorMesh(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 1.0]))
     fine = uniform_mesh(5)
     vals = np.arange(9.0)
-    up = nearest_upsample(coarse, Field(vals, coarse.shape), fine)
+    up = nearest_upsample(coarse, vals, fine)
     # fine x=0.25 is equidistant from coarse x=0.0 and x=0.5
-    assert up.values[1] == vals[0]
-    assert up.values[5 * 1] == vals[0]
+    assert up[1] == vals[0]
+    assert up[5 * 1] == vals[0]
 
 
 def test_upsample_adjoint_identity():
@@ -308,10 +308,10 @@ def test_upsample_adjoint_identity():
     for _ in range(100):
         v = rng.standard_normal(coarse.n_nodes)
         w = rng.standard_normal(fine.n_nodes)
-        up = nearest_upsample(coarse, Field(v, coarse.shape), fine)
-        down = upsample_adjoint(coarse, fine, Field(w, fine.shape))
-        lhs = float(up.values @ w)
-        rhs = float(v @ down.values)
+        up = nearest_upsample(coarse, v, fine)
+        down = upsample_adjoint(coarse, fine, w)
+        lhs = float(up @ w)
+        rhs = float(v @ down)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -335,8 +335,8 @@ def test_upsample_adjoint_matches_add_at_bitwise(ncx, ncy, nfx, nfy, seed):
     iy = grid_mod._nearest_line_index(coarse.y_lines, fine.y_lines)
     want = np.zeros(coarse.n_nodes)
     np.add.at(want, (iy[:, None] * ncx + ix[None, :]).ravel(), values)
-    got = upsample_adjoint(coarse, fine, Field(values, fine.shape))
-    assert np.array_equal(got.values, want)
+    got = upsample_adjoint(coarse, fine, values)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,25 +354,39 @@ def test_cached_upsample_map_matches_direct_gather_and_add_at(nc, nf, seed):
     mesh_a = TensorMesh(lines(nc), lines(nc + 2), s_min=1e-9)
     mesh_b = TensorMesh(lines(nc), lines(nc + 2), s_min=1e-9)
     for coarse in (mesh_a, mesh_b, TensorMesh(mesh_a.x_lines, mesh_a.y_lines, s_min=1e-9)):
-        field = Field(rng.standard_normal(coarse.n_nodes), coarse.shape)
+        field = rng.standard_normal(coarse.n_nodes)
         ix = grid_mod._nearest_line_index(coarse.x_lines, fine.x_lines)
         iy = grid_mod._nearest_line_index(coarse.y_lines, fine.y_lines)
         up = nearest_upsample(coarse, field, fine)
-        assert np.array_equal(up.values, field.as_grid()[np.ix_(iy, ix)].ravel())
+        grid = field.reshape(coarse.shape[::-1])
+        assert np.array_equal(up, grid[np.ix_(iy, ix)].ravel())
         cot = rng.standard_normal(fine.n_nodes) * 10.0 ** rng.uniform(-10, 10, fine.n_nodes)
         want = np.zeros(coarse.n_nodes)
         np.add.at(want, (iy[:, None] * coarse.shape[0] + ix[None, :]).ravel(), cot)
-        got = upsample_adjoint(coarse, fine, Field(cot, fine.shape))
-        assert np.array_equal(got.values, want)
+        got = upsample_adjoint(coarse, fine, cot)
+        assert np.array_equal(got, want)
+
+
+def test_upsample_pair_rejects_fields_of_another_shape():
+    """nearest_upsample takes a field of the coarse mesh and upsample_adjoint
+    a cotangent of the fine mesh: the flat n_nodes values, not a grid."""
+    coarse, fine = uniform_mesh(5), uniform_mesh(9)
+    for values in (np.ones(coarse.n_nodes + 1), np.ones(coarse.n_nodes - 1), np.ones((5, 5)),
+                   np.ones(fine.n_nodes)):
+        with pytest.raises(ValueError, match="not a field of a 5x5 mesh"):
+            nearest_upsample(coarse, values, fine)
+    for values in (np.ones(fine.n_nodes + 1), np.ones((9, 9)), np.ones(coarse.n_nodes)):
+        with pytest.raises(ValueError, match="not a field of a 9x9 mesh"):
+            upsample_adjoint(coarse, fine, values)
 
 
 def test_upsample_adjoint_counts_hits():
     coarse = uniform_mesh(3)
     fine = uniform_mesh(9)
-    ones = Field(np.ones(fine.n_nodes), fine.shape)
+    ones = np.ones(fine.n_nodes)
     down = upsample_adjoint(coarse, fine, ones)
-    assert down.values.sum() == fine.n_nodes
-    assert np.all(down.values > 0)
+    assert down.sum() == fine.n_nodes
+    assert np.all(down > 0)
 
 
 def test_field_grid_views():
@@ -382,22 +396,42 @@ def test_field_grid_views():
     assert g[1, 2] == 5.0
 
 
+def test_field_csv_rows_follow_y_lines(tmp_path):
+    """A field is row-major over (j, i): flat index j * nx + i holds node
+    (x_lines[i], y_lines[j]), so each CSV row holds one y-line, and a field
+    of another shape is refused."""
+    mesh = TensorMesh(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.75, 1.0]))
+    nx, ny = mesh.shape
+    x, y = mesh.node_coords
+    assert (x[1 * nx + 2], y[1 * nx + 2]) == (mesh.x_lines[2], mesh.y_lines[1])
+    path = tmp_path / "x.csv"
+    write_field_csv(x, mesh, path)
+    rows = path.read_text().splitlines()
+    assert rows[0] == "# nx=3 ny=4"
+    assert rows[1:] == ["0.0,0.5,1.0"] * ny
+    assert np.array_equal(read_field_csv(path), x)
+    for values in (np.ones(mesh.n_nodes + 1), np.ones((ny, nx))):
+        with pytest.raises(ValueError, match="not a field of a 3x4 mesh"):
+            write_field_csv(values, mesh, tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_field_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    f = Field(rng.standard_normal(16), (4, 4))
+    f = rng.standard_normal(16)
     path = tmp_path / "field.csv"
-    write_field_csv(f, path)
+    write_field_csv(f, uniform_mesh(4), path)
     f2 = read_field_csv(path)
-    assert f2.mesh_shape == (4, 4)
-    assert np.array_equal(f2.values, f.values)
+    assert f2.shape == (16,)
+    assert np.array_equal(f2, f)
 
 
 def test_field_csv_writes_each_value_as_its_repr(tmp_path):
     awkward = [-0.0, 5e-324, 1e300, 0.1 + 0.2, -1.5, 2.0 / 3.0]
-    f = Field(np.array(awkward), (3, 2))
+    f = np.array(awkward)
     path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    rows = [",".join(repr(float(v)) for v in row) for row in f.as_grid()]
+    write_field_csv(f, uniform_mesh(3, 2), path)
+    rows = [",".join(repr(float(v)) for v in row) for row in f.reshape(2, 3)]
     assert path.read_bytes() == ("\n".join(["# nx=3 ny=2", *rows]) + "\n").encode()
     back = read_field_csv(path)
-    assert back.values.tobytes() == f.values.tobytes()
+    assert back.tobytes() == f.tobytes()

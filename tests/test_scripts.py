@@ -1,4 +1,5 @@
 """Smoke tests for the experiment scripts under scripts/."""
+import importlib.util
 import math
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from zo_meshopt.train import TrainConfig, train_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +49,48 @@ def test_estimator_variance_rejects_fewer_than_two_trials(trials):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--trials" in proc.stderr
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_outputs_compares_run_directories(tmp_path):
+    """Two runs of one config differ only in wall_time_s and out_dir, which
+    the comparison leaves out; a checkpoint.json that only changes its
+    layout is reported, and so is one edited digit of a pred CSV."""
+    compare_dirs = _load_script("same_outputs").compare_dirs
+    runs = []
+    for side in ("a", "b"):
+        config = TrainConfig(fine_n=9, coarse_n=5, train_alphas=(0.9, 1.1), test_alphas=(1.0,),
+                             mesh_mode="gaussian", epochs=2, warm_start_epochs=1, lr=1e-2,
+                             out_dir=str(tmp_path / side))
+        train_run(config)
+        runs.append(tmp_path / side)
+    a, b = runs
+    names = {"checkpoint.json", "metrics.csv", "pred_alpha_1.csv", "truth_alpha_1.csv"}
+    assert compare_dirs(a, b) == dict.fromkeys(sorted(names))
+
+    metrics = (b / "metrics.csv").read_text().splitlines()
+    retimed = [metrics[0]] + [row.rsplit(",", 1)[0] + ",1234.5" for row in metrics[1:]]
+    (b / "metrics.csv").write_text("\n".join(retimed) + "\n")
+    assert (b / "metrics.csv").read_bytes() != (a / "metrics.csv").read_bytes()
+    assert compare_dirs(a, b)["metrics.csv"] is None
+
+    checkpoint = b / "checkpoint.json"
+    saved = checkpoint.read_bytes()
+    assert b'"out_dir": ' in saved and saved != (a / "checkpoint.json").read_bytes()
+    for reformat in (lambda t: t.replace(b"  ", b"   "), lambda t: t.rstrip(b"\n")):
+        checkpoint.write_bytes(reformat(saved))
+        assert compare_dirs(a, b)["checkpoint.json"] == "differs"
+    checkpoint.write_bytes(saved)
+
+    pred = b / "pred_alpha_1.csv"
+    header, first, *rest = pred.read_text().splitlines()
+    digit = next(k for k, c in enumerate(first) if c in "123456789")
+    edited = first[:digit] + str(int(first[digit]) % 9 + 1) + first[digit + 1:]
+    pred.write_text("\n".join([header, edited, *rest]) + "\n")
+    assert compare_dirs(a, b) == {**dict.fromkeys(sorted(names)), "pred_alpha_1.csv": "differs"}

@@ -92,6 +92,31 @@ def test_solve_matches_dense_oracle_solve():
             assert np.allclose(grid[1:-1, 1:-1].ravel(), expected, rtol=0, atol=1e-12)
 
 
+def test_solution_values_are_a_read_only_flat_float64_array():
+    """The solver's field hands training the flat node values of its mesh,
+    read-only, so a memoized truth cannot be changed through them."""
+    mesh = TensorMesh(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4))
+    field = solve_poisson(mesh, ScenarioParams(alpha=0.9)).field
+    assert field.mesh_shape == mesh.shape
+    values = field.values
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    assert values.shape == (mesh.n_nodes,)
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+    assert np.array_equal(field.as_grid().ravel(), values)
+
+
+def test_exact_mesh_vjp_rejects_a_cotangent_of_another_shape():
+    """A cotangent must be a field of the mesh: its flat n_nodes values, not
+    one value more or fewer and not its grid.  Nothing is solved first."""
+    mesh = uniform_mesh(5)
+    before = solve_count()
+    for v in (np.ones(mesh.n_nodes - 1), np.ones(mesh.n_nodes + 1), np.ones((5, 5))):
+        with pytest.raises(ValueError, match="not a field of a 5x5 mesh"):
+            exact_mesh_vjp(mesh, ScenarioParams(alpha=1.0), v)
+    assert solve_count() == before
+
+
 def test_center_value_3x3_unit_alpha():
     """One interior unknown: 4/h^2 * w = 1 with h = 1/2 gives w = 1/16... scaled."""
     report = solve_poisson(uniform_mesh(3), ScenarioParams(alpha=1.0))
@@ -235,7 +260,7 @@ def test_each_mesh_gradient_route_counts_its_solves():
 
     mesh = uniform_mesh(5)
     params = ScenarioParams(1.0)
-    v = Field(np.ones(mesh.n_nodes), mesh.shape)
+    v = np.ones(mesh.n_nodes)
     before = solve_count()
     g = exact_mesh_vjp(mesh, params, v)
     assert solve_count() - before == 2 * mesh.n_params
@@ -243,7 +268,7 @@ def test_each_mesh_gradient_route_counts_its_solves():
 
     base = solve_poisson(mesh, params).field.values
     before = solve_count()
-    zo_vjp(make_evaluate(mesh, params), mesh_to_params(mesh), base, v.values,
+    zo_vjp(make_evaluate(mesh, params), mesh_to_params(mesh), base, v,
            EstimatorSpec(kind="gaussian", b=3, seed=0))
     assert solve_count() - before == 3
 
@@ -255,7 +280,7 @@ def test_exact_mesh_vjp_matches_dense_jacobian():
     from zo_meshopt.grid import mesh_to_params, params_to_mesh
     p0 = mesh_to_params(mesh)
     rng = np.random.default_rng(2)
-    v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+    v = rng.standard_normal(mesh.n_nodes)
     h = 1e-6
     jac_v = np.zeros(p0.size)
     for k in range(p0.size):
@@ -264,7 +289,7 @@ def test_exact_mesh_vjp_matches_dense_jacobian():
         pm[k] -= h
         op = solve_poisson(params_to_mesh(mesh, pp), params).field.values
         om = solve_poisson(params_to_mesh(mesh, pm), params).field.values
-        jac_v[k] = float(v.values @ (op - om)) / (2.0 * h)
+        jac_v[k] = float(v @ (op - om)) / (2.0 * h)
     got = exact_mesh_vjp(mesh, params, v)
     assert np.allclose(got, jac_v, rtol=1e-9, atol=1e-12)
 
@@ -396,7 +421,7 @@ def test_block_of_more_new_axes_than_the_cache_holds_equals_one_mesh_solves():
 def test_exact_oracle_factorizes_each_axis_once_across_alphas(axis_misses):
     rng = np.random.default_rng(4)
     mesh = TensorMesh(_random_lines(rng, 17), _random_lines(rng, 17))
-    v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+    v = rng.standard_normal(mesh.n_nodes)
     n_params = 2 * (17 - 2)
     solver_mod._perturbed_meshes.cache_clear()
     for alpha in (0.90, 0.91, 0.92, 0.93, 0.94, 0.95):
@@ -436,14 +461,14 @@ def _reference_exact_vjp(mesh, params, v):
         step[k] = h
         plus = solve_poisson(params_to_mesh(mesh, p0 + step), params).field.values
         minus = solve_poisson(params_to_mesh(mesh, p0 - step), params).field.values
-        grad[k] = float(v.values @ (plus - minus)) / (2.0 * h)
+        grad[k] = float(v @ (plus - minus)) / (2.0 * h)
     return grad
 
 
 def test_exact_oracle_projects_perturbed_meshes_once_across_alphas(monkeypatch):
     rng = np.random.default_rng(6)
     mesh = TensorMesh(_random_lines(rng, 9), _random_lines(rng, 7))
-    v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+    v = rng.standard_normal(mesh.n_nodes)
     projected = []
     project = solver_mod.params_to_meshes
     monkeypatch.setattr(solver_mod, "params_to_meshes",
@@ -460,7 +485,7 @@ def test_shared_perturbed_meshes_give_the_per_call_gradient():
               TensorMesh(np.array([0.0, 1.01e-4, 2.02e-4, 0.5, 1.0]), _random_lines(rng, 6))]
     solver_mod._perturbed_meshes.cache_clear()
     for mesh in meshes:
-        v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+        v = rng.standard_normal(mesh.n_nodes)
         for alpha in _ALPHAS:
             got = exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
             assert np.array_equal(got, _reference_exact_vjp(mesh, ScenarioParams(alpha), v))
@@ -471,7 +496,7 @@ def test_perturbed_mesh_memo_holds_one_mesh():
     solver_mod._perturbed_meshes.cache_clear()
     for _ in range(3):
         mesh = TensorMesh(_random_lines(rng, 6), _random_lines(rng, 5))
-        v = Field(rng.standard_normal(mesh.n_nodes), mesh.shape)
+        v = rng.standard_normal(mesh.n_nodes)
         for alpha in (1.0, 1.1):
             exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
             assert solver_mod._perturbed_meshes.cache_info().currsize == 1

@@ -13,7 +13,6 @@ from zo_meshopt import net
 from zo_meshopt.cli import load_config
 from zo_meshopt.errors import ConfigError, SolverError
 from zo_meshopt.grid import (
-    Field,
     ScenarioParams,
     mesh_to_params,
     nearest_upsample,
@@ -63,18 +62,18 @@ def test_loss_from_coarse_field_matches_recomputation():
     coarse = uniform_mesh(5)
     scenario = ScenarioParams(alpha=0.9)
     netp = net.init_params((4, 8, 1), seed=3)
-    truth = solve_poisson(fine, scenario).field
+    truth = solve_poisson(fine, scenario).field.values
 
-    coarse_field = solve_poisson(coarse, scenario).field
+    coarse_field = solve_poisson(coarse, scenario).field.values
     loss, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
 
-    ref_coarse = solve_poisson(coarse, scenario).field
-    assert np.array_equal(coarse_field.values, ref_coarse.values)
+    ref_coarse = solve_poisson(coarse, scenario).field.values
+    assert np.array_equal(coarse_field, ref_coarse)
     u_up = nearest_upsample(coarse, ref_coarse, fine)
     xs, ys = fine.node_coords
-    feats = np.column_stack([xs, ys, u_up.values, np.full(xs.size, 0.9)])
+    feats = np.column_stack([xs, ys, u_up, np.full(xs.size, 0.9)])
     preds, _ = net.forward(netp, feats)
-    resid = preds[:, 0] - truth.values
+    resid = preds[:, 0] - truth
     assert loss == pytest.approx(float(resid @ resid / resid.size), rel=0, abs=1e-18)
 
 
@@ -83,8 +82,8 @@ def test_loss_backward_theta_directional_fd():
     coarse = uniform_mesh(5)
     scenario = ScenarioParams(alpha=1.2)
     netp = net.init_params((4, 8, 1), seed=1)
-    truth = solve_poisson(fine, scenario).field
-    coarse_field = solve_poisson(coarse, scenario).field
+    truth = solve_poisson(fine, scenario).field.values
+    coarse_field = solve_poisson(coarse, scenario).field.values
     _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
     grads, _ = loss_backward(cache)
 
@@ -110,8 +109,8 @@ def test_loss_backward_coarse_cotangent_fd():
     coarse = uniform_mesh(5)
     scenario = ScenarioParams(alpha=0.8)
     netp = net.init_params((4, 8, 1), seed=2)
-    truth = solve_poisson(fine, scenario).field
-    coarse_field = solve_poisson(coarse, scenario).field
+    truth = solve_poisson(fine, scenario).field.values
+    coarse_field = solve_poisson(coarse, scenario).field.values
     _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
     _, v_coarse = loss_backward(cache)
 
@@ -120,12 +119,11 @@ def test_loss_backward_coarse_cotangent_fd():
     h = 1e-6
 
     def loss_with(values):
-        f = Field(values, coarse.shape)
-        l, _ = loss_from_coarse_field(coarse, netp, scenario, f, fine, truth)
+        l, _ = loss_from_coarse_field(coarse, netp, scenario, values, fine, truth)
         return l
 
-    fd = (loss_with(coarse_field.values + h * w) - loss_with(coarse_field.values - h * w)) / (2 * h)
-    assert float(v_coarse.values @ w) == pytest.approx(fd, rel=1e-4)
+    fd = (loss_with(coarse_field + h * w) - loss_with(coarse_field - h * w)) / (2 * h)
+    assert float(v_coarse @ w) == pytest.approx(fd, rel=1e-4)
 
 
 def test_node_features_layout():
@@ -452,20 +450,20 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
     theta_grads, mesh_g = [], np.zeros(coarse.n_params)
     for k, idx in enumerate(order):
         scenario = ScenarioParams(config.train_alphas[idx])
-        truth = solve_poisson(fine, scenario).field
-        coarse_field = solve_poisson(coarse, scenario).field
+        truth = solve_poisson(fine, scenario).field.values
+        coarse_field = solve_poisson(coarse, scenario).field.values
         _, cache = loss_from_coarse_field(
             coarse, netp, scenario, coarse_field, fine, truth,
             workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
         )
         grads, v = loss_backward(cache)
         theta_grads.append(grads)
-        v_scaled = Field(v.values / order.size, v.mesh_shape)
+        v_scaled = v / order.size
         if mode == "exact":
             mesh_g += exact_mesh_vjp(coarse, scenario, v_scaled)
         else:
             mesh_g += zo_vjp(make_evaluate(coarse, scenario), mesh_to_params(coarse),
-                             coarse_field.values, v_scaled.values,
+                             coarse_field, v_scaled,
                              dataclasses.replace(est, seed=est.seed + k))
     _, want_theta = adam_step(
         init_adam(net.n_params(netp.layer_dims), config.lr),
@@ -542,12 +540,12 @@ def test_test_rmse_matches_manual_recompute(tmp_path):
     per = []
     for alpha in config.test_alphas:
         scenario = ScenarioParams(alpha)
-        truth = solve_poisson(fine, scenario).field
+        truth = solve_poisson(fine, scenario).field.values
         _, cache = loss_from_coarse_field(
-            state.mesh, state.net, scenario, solve_poisson(state.mesh, scenario).field,
+            state.mesh, state.net, scenario, solve_poisson(state.mesh, scenario).field.values,
             fine, truth, workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
         )
-        per.append(rmse(Field(cache.predictions[:, 0], fine.shape), truth))
+        per.append(rmse(cache.predictions[:, 0].astype(float), truth))
     assert metrics[-1].test_rmse == pytest.approx(float(np.mean(per)), rel=0, abs=1e-15)
 
 
@@ -566,5 +564,9 @@ def test_scale_sweep_writes_combined_csv(tmp_path):
 
 
 def test_rmse_shape_guard():
+    """rmse takes two flat fields of one mesh; grids, whose @ would be a
+    matrix product, are refused too."""
     with pytest.raises(ValueError):
-        rmse(Field(np.zeros(4), (2, 2)), Field(np.zeros(9), (3, 3)))
+        rmse(np.zeros(4), np.zeros(9))
+    with pytest.raises(ValueError):
+        rmse(np.zeros((3, 3)), np.zeros((3, 3)))
