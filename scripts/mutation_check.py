@@ -1,0 +1,151 @@
+"""Check that the tests catch known faults in the training step.
+
+    python3 scripts/mutation_check.py
+
+``MUTANTS`` is a table of one-line mutants of ``src/zo_meshopt/train.py``.
+Each row names the exact text it replaces, its replacement, and the tests
+expected to kill it.  The script first copies the repository to a temporary
+directory and runs every listed test there unmutated; then, for each mutant,
+it copies the repository again, applies that one edit and runs that row's
+tests with pytest.  It prints which tests failed, then a table of the
+mutants and the tests that killed them.
+
+Exits 1 if the unmutated copy fails any listed test or a mutant survives
+all of its tests, else 0.  M1-M5 keep each run's n_solver_evals equal to
+declared_evals; M6 breaks only that equality.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGET = Path("src/zo_meshopt/train.py")
+IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_runs", ".benchmarks",
+    "out", "*.egg-info",
+)
+
+ORDERING = "tests/test_acceptance.py::test_hybrid_training_rmse_ordering"
+WARM_START = "tests/test_acceptance.py::test_warm_start_beats_cold_at_equal_budget"
+BD_TRENDS = "tests/test_acceptance.py::test_subset_size_and_batch_trends"
+REPLAY = "tests/test_train.py::test_joint_epoch_uses_one_workspace_and_matches_fresh_passes"
+SUBSET = "tests/test_train.py::test_gauss_coord_subset_clipped_to_dimension"
+BUDGET = "tests/test_train.py::test_budget_matches_declared_and_counter"
+CLI_BUDGET = "tests/test_cli.py::test_train_counts_every_solve"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    what: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "M1", "every mesh gradient sign-flipped (exact too)",
+        "adam_step(adam_mesh, mesh_to_params(coarse), mesh_g)",
+        "adam_step(adam_mesh, mesh_to_params(coarse), -mesh_g)",
+        (ORDERING, WARM_START, BD_TRENDS, REPLAY),
+    ),
+    Mutant(
+        "M2", "ZO estimate sign-flipped",
+        "mesh_g += zo_vjp(",
+        "mesh_g -= zo_vjp(",
+        (ORDERING, WARM_START, BD_TRENDS),
+    ),
+    Mutant(
+        "M3", "ZO estimate times 0",
+        "mesh_g += zo_vjp(",
+        "mesh_g += 0 * zo_vjp(",
+        (ORDERING, SUBSET, REPLAY),
+    ),
+    Mutant(
+        "M4", "estimator seed never advances",
+        "est_calls += 1",
+        "est_calls += 0",
+        (ORDERING, REPLAY),
+    ),
+    Mutant(
+        "M5", "ZO estimate turned by a random orthogonal matrix: its norm, no direction",
+        "mesh_g += zo_vjp(",
+        "mesh_g += np.linalg.qr(np.random.default_rng(est_calls).standard_normal("
+        "(params0.size,) * 2))[0] @ zo_vjp(",
+        (ORDERING, BD_TRENDS),
+    ),
+    Mutant(
+        "M6", "declared_evals counts one joint epoch too many",
+        "joint = max(0, done - config.warm_start_epochs)",
+        "joint = max(0, done - config.warm_start_epochs + 1)",
+        (BUDGET, CLI_BUDGET),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> Path:
+    """Copy the repository, without version control and caches, to dest."""
+    shutil.copytree(ROOT, dest, ignore=IGNORED)
+    return dest
+
+
+def apply(mutant: Mutant, tree: Path) -> None:
+    """Replace the mutant's text in tree's train.py; it must occur once."""
+    path = tree / TARGET
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} "
+                         f"times in {TARGET}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def failed_tests(tree: Path, tests: tuple[str, ...]) -> list[str]:
+    """Run tests in tree with pytest; the listed tests that failed or
+    errored, or every one of them if pytest stopped before running any."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    failed = {line.split()[1].split("[")[0] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))}
+    if proc.returncode not in (0, 1) or (proc.returncode == 1 and not failed):
+        return list(tests)
+    return [t for t in tests if t in failed]
+
+
+def _names(tests) -> str:
+    return ", ".join(f"`{t.split('::')[1]}`" for t in tests) or "none"
+
+
+def main() -> int:
+    every = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
+        broken = failed_tests(copy_tree(Path(tmp) / "clean"), every)
+        for test in broken:
+            print(f"unmutated: {test} fails")
+        killed = {}
+        for k, mutant in enumerate(MUTANTS):
+            tree = copy_tree(Path(tmp) / f"m{k}")
+            apply(mutant, tree)
+            killed[mutant.name] = failed_tests(tree, mutant.tests)
+            print(f"{mutant.name}: failed {_names(killed[mutant.name])}", flush=True)
+    print("\n| mutant | tests that kill it | tests it survives |\n| --- | --- | --- |")
+    for mutant in MUTANTS:
+        survived = tuple(t for t in mutant.tests if t not in killed[mutant.name])
+        print(f"| {mutant.name}: {mutant.what} | {_names(killed[mutant.name])} "
+              f"| {_names(survived)} |")
+    survivors = [m.name for m in MUTANTS if not killed[m.name]]
+    if survivors:
+        print(f"survived every listed test: {', '.join(survivors)}")
+    return 1 if broken or survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

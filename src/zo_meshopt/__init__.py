@@ -6,7 +6,6 @@ from .grid import (
     Field,
     ScenarioParams,
     TensorMesh,
-    init_coarse_from_fine,
     mesh_to_params,
     nearest_upsample,
     params_to_mesh,
@@ -53,7 +52,6 @@ __all__ = [
     "declared_evals",
     "exact_mesh_vjp",
     "init_adam",
-    "init_coarse_from_fine",
     "init_params",
     "loss_backward",
     "make_evaluate",

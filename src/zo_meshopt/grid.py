@@ -158,31 +158,6 @@ def uniform_mesh(nx: int, ny: int | None = None, s_min: float = DEFAULT_MIN_GAP)
     return TensorMesh(np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny), s_min)
 
 
-def init_coarse_from_fine(
-    fine_nx: int, fine_ny: int, coarse_nx: int, coarse_ny: int
-) -> TensorMesh:
-    """Subsample a uniform fine mesh at a fixed stride per axis.
-
-    The stride (fine - 1) / (coarse - 1) must be a whole number so coarse
-    lines land exactly on fine lines.
-    """
-    lines = []
-    for fine_n, coarse_n, axis in ((fine_nx, coarse_nx, "x"), (fine_ny, coarse_ny, "y")):
-        if coarse_n < 3:
-            raise ConfigError(f"coarse {axis} count must be at least 3, got {coarse_n}")
-        if fine_n < coarse_n:
-            raise ConfigError(
-                f"fine {axis} count {fine_n} must be at least the coarse count {coarse_n}"
-            )
-        if (fine_n - 1) % (coarse_n - 1) != 0:
-            raise ConfigError(
-                f"stride ({fine_n} - 1) / ({coarse_n} - 1) is not a whole number"
-            )
-        stride = (fine_n - 1) // (coarse_n - 1)
-        lines.append(np.linspace(0.0, 1.0, fine_n)[::stride])
-    return TensorMesh(lines[0], lines[1])
-
-
 def mesh_to_params(mesh: TensorMesh) -> np.ndarray:
     """Interior line positions as one vector: x interiors, then y interiors."""
     return np.concatenate([mesh.x_lines[1:-1], mesh.y_lines[1:-1]])

@@ -27,7 +27,6 @@ from .errors import ConfigError
 from .grid import (
     ScenarioParams,
     TensorMesh,
-    init_coarse_from_fine,
     mesh_to_params,
     nearest_upsample,
     params_to_mesh,
@@ -103,6 +102,8 @@ class TrainConfig:
             )
         if not self.train_alphas:
             raise ConfigError("train_alphas must not be empty")
+        if not self.test_alphas:
+            raise ConfigError("test_alphas must not be empty")
         for a in (*self.train_alphas, *self.test_alphas):
             if not np.isfinite(a) or a <= 0:
                 raise ConfigError(f"alphas must be positive and finite, got {a}")
@@ -234,21 +235,6 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(diff @ diff / diff.size))
 
 
-def initial_coarse_mesh(config: TrainConfig) -> TensorMesh:
-    """Down-sample the uniform fine mesh when the stride divides, so every
-    coarse line is exactly a fine line, else start from the uniform coarse
-    mesh.  The two need not agree where both are defined: ``np.linspace``
-    rounds each mesh's lines on its own, so for some divisible sizes (fine
-    16, coarse 6 the smallest) a down-sampled line differs from the uniform
-    coarse line in its last bits.  At strides 4 and 8 from fine 33, 65 and
-    129 (desk and the bench workloads) they agree bit for bit."""
-    if (config.fine_n - 1) % (config.coarse_n - 1) == 0:
-        return init_coarse_from_fine(
-            config.fine_n, config.fine_n, config.coarse_n, config.coarse_n
-        )
-    return uniform_mesh(config.coarse_n)
-
-
 def declared_evals(config: TrainConfig, epochs_done: int | None = None) -> int:
     """Closed-form solver-call budget after a number of completed epochs.
 
@@ -363,7 +349,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
             truths[alpha] = solve_poisson(fine_mesh, ScenarioParams(alpha)).field.values
         return truths[alpha]
 
-    coarse = initial_coarse_mesh(config)
+    coarse = uniform_mesh(config.coarse_n)
     params0 = mesh_to_params(coarse)
     netp = net.init_params(net.DEFAULT_DIMS, config.seed)
     mesh_lr = config.lr if config.mesh_lr is None else config.mesh_lr
@@ -427,21 +413,18 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                         coarse = params_to_mesh(coarse, new_p)
                     except NonFiniteGradient as err:
                         log.warning("epoch %d: skipping mesh update: %s", epoch, err)
-            if config.test_alphas:
-                test_outputs = []
-                for alpha in config.test_alphas:
-                    scenario = ScenarioParams(alpha)
-                    truth = fine_truth(alpha)
-                    _, cache = loss_from_coarse_field(
-                        coarse, netp, scenario, solve_poisson(coarse, scenario).field.values,
-                        fine_mesh, truth, workspace=workspace,
-                    )
-                    # Copied out of the workspace, which the next forward refills.
-                    pred = cache.predictions[:, 0].astype(float)
-                    test_outputs.append((alpha, pred, truth))
-                test_rmse = float(np.mean([rmse(pred, truth) for _, pred, truth in test_outputs]))
-            else:
-                test_rmse = float("nan")
+            test_outputs = []
+            for alpha in config.test_alphas:
+                scenario = ScenarioParams(alpha)
+                truth = fine_truth(alpha)
+                _, cache = loss_from_coarse_field(
+                    coarse, netp, scenario, solve_poisson(coarse, scenario).field.values,
+                    fine_mesh, truth, workspace=workspace,
+                )
+                # Copied out of the workspace, which the next forward refills.
+                pred = cache.predictions[:, 0].astype(float)
+                test_outputs.append((alpha, pred, truth))
+            test_rmse = float(np.mean([rmse(pred, truth) for _, pred, truth in test_outputs]))
             metrics.append(
                 EpochMetrics(
                     epoch=epoch,

@@ -95,8 +95,8 @@ def test_bench_tracer_sees_every_solve_and_leaves_no_wrapper(tmp_path, monkeypat
 
 
 def test_train_does_not_import_scipy(tmp_path):
-    """The package is numpy only: a training run loads no scipy module, also
-    with a truth mesh of more than 4096 unknowns."""
+    """The package is numpy only: a training run loads no scipy module, here
+    with a 67x67 truth mesh."""
     cfg = write_config(tmp_path / "c.json", fine_n=67)
     src = Path(cli.__file__).resolve().parents[1]
     code = (
@@ -233,6 +233,20 @@ def test_output_path_that_is_a_file_exits_two(tmp_path, capsys, command):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot make output directory {taken}")
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [["train"], ["sweep", "modes"]], ids=["train", "sweep"])
+def test_empty_test_alphas_exit_two_before_anything_trains(tmp_path, capsys, monkeypatch, argv):
+    """With no test alpha every test_rmse would read nan and no pred/truth
+    CSV would be written, so such a config is a usage error: nothing is
+    solved and no output directory is made."""
+    solves = []
+    monkeypatch.setattr(solver_mod, "_solve", lambda *args: solves.append(args))
+    cfg = write_config(tmp_path / "c.json", test_alphas=[], out_dir=str(tmp_path / "run"))
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert "test_alphas must not be empty" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_subcommand_exits_two(capsys):

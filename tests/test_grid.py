@@ -12,7 +12,6 @@ from zo_meshopt.grid import (
     TensorMesh,
     _project_lines,
     _project_lines_loop,
-    init_coarse_from_fine,
     mesh_to_params,
     nearest_upsample,
     params_to_mesh,
@@ -262,14 +261,17 @@ def test_write_text_atomic_replaces_and_cleans_up(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
-def test_init_coarse_from_fine_subsamples():
-    c = init_coarse_from_fine(33, 33, 9, 9)
-    assert np.array_equal(c.x_lines, np.linspace(0.0, 1.0, 9))
-    from zo_meshopt.errors import ConfigError
-    with pytest.raises(ConfigError):
-        init_coarse_from_fine(33, 33, 7, 7)
-    with pytest.raises(ConfigError):
-        init_coarse_from_fine(9, 9, 33, 33)
+def test_uniform_coarse_lines_are_fine_lines_at_whole_strides():
+    """A run starts from uniform_mesh(coarse_n).  At fine sizes 2^k + 1 and
+    every coarse size with a whole stride, its lines are the fine mesh's
+    lines at that stride byte for byte, so every coarse line lies on a fine
+    line (desk's 9 of 33, the benchmark's 17 of 65 and of 129 included)."""
+    for n in (5, 9, 17, 33, 65, 129, 257):
+        fine = uniform_mesh(n).x_lines
+        for c in range(3, n):
+            if (n - 1) % (c - 1) == 0:
+                stride = (n - 1) // (c - 1)
+                assert uniform_mesh(c).x_lines.tobytes() == fine[::stride].tobytes(), (n, c)
 
 
 def test_nearest_upsample_matches_brute_force():

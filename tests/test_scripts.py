@@ -94,3 +94,29 @@ def test_same_outputs_compares_run_directories(tmp_path):
     edited = first[:digit] + str(int(first[digit]) % 9 + 1) + first[digit + 1:]
     pred.write_text("\n".join([header, edited, *rest]) + "\n")
     assert compare_dirs(a, b) == {**dict.fromkeys(sorted(names)), "pred_alpha_1.csv": "differs"}
+
+
+def _files(tree):
+    return {p.relative_to(tree): p.read_bytes() for p in tree.rglob("*") if p.is_file()}
+
+
+def test_mutation_table_applies_to_the_current_source(tmp_path):
+    """Each mutant's text occurs once in train.py, its edit compiles and
+    names listed tests that exist, and applying it to a copy of the tree
+    changes that one file only.  No mutant is run."""
+    check = _load_script("mutation_check")
+    source = (ROOT / check.TARGET).read_text()
+    tree = check.copy_tree(tmp_path / "tree")
+    before = _files(tree)
+    for mutant in check.MUTANTS:
+        assert source.count(mutant.old) == 1, mutant.name
+        for test in mutant.tests:
+            path, name = test.split("::")
+            assert f"def {name}(" in (ROOT / path).read_text(), test
+        check.apply(mutant, tree)
+        after = _files(tree)
+        mutated = after.pop(check.TARGET)
+        assert mutated.decode() == source.replace(mutant.old, mutant.new)
+        compile(mutated, str(check.TARGET), "exec")
+        assert after == {k: v for k, v in before.items() if k != check.TARGET}
+        (tree / check.TARGET).write_bytes(before[check.TARGET])

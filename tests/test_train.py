@@ -27,7 +27,6 @@ from zo_meshopt.train import (
     METRICS_HEADER,
     TrainConfig,
     declared_evals,
-    initial_coarse_mesh,
     loss_backward,
     loss_from_coarse_field,
     node_features,
@@ -174,23 +173,6 @@ def test_shipped_configs_load_and_validate(name, mode):
     assert config.mesh_mode == mode
     if mode in ESTIMATOR_KINDS:
         assert config.estimator.kind == mode
-
-
-def test_initial_coarse_mesh_divisible_and_fallback():
-    m = initial_coarse_mesh(tiny_config(fine_n=33, coarse_n=9))
-    assert np.array_equal(m.x_lines, np.linspace(0.0, 1.0, 9))
-    m = initial_coarse_mesh(tiny_config(fine_n=33, coarse_n=7))
-    assert np.array_equal(m.x_lines, np.linspace(0.0, 1.0, 7))
-
-
-def test_down_sampled_initial_lines_are_fine_lines():
-    """At fine 16, coarse 6 the uniform coarse mesh has a line that no fine
-    line equals; the down-sampled start keeps exactly fine lines."""
-    m = initial_coarse_mesh(tiny_config(fine_n=16, coarse_n=6))
-    fine = uniform_mesh(16)
-    for lines, fine_lines in ((m.x_lines, fine.x_lines), (m.y_lines, fine.y_lines)):
-        assert lines.size == 6
-        assert np.isin(lines, fine_lines).all()
 
 
 def test_config_validation():
@@ -442,7 +424,7 @@ def test_joint_epoch_uses_one_workspace_and_matches_fresh_passes(tmp_path, monke
     # Reference: one scenario at a time, each through its own fresh workspace
     # of training's compute dtype.
     fine = uniform_mesh(config.fine_n)
-    coarse = initial_coarse_mesh(config)
+    coarse = uniform_mesh(config.coarse_n)
     netp = net.init_params(net.DEFAULT_DIMS, config.seed)
     order = np.random.default_rng(np.random.SeedSequence([config.seed, 1])).permutation(
         len(config.train_alphas)
