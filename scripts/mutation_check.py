@@ -1,18 +1,21 @@
-"""Check that the tests catch known faults in the training step.
+"""Check that the tests catch known faults in the training step and the
+solver.
 
     python3 scripts/mutation_check.py
 
-``MUTANTS`` is a table of one-line mutants of ``src/zo_meshopt/train.py``.
-Each row names the exact text it replaces, its replacement, and the tests
-expected to kill it.  The script first copies the repository to a temporary
-directory and runs every listed test there unmutated; then, for each mutant,
-it copies the repository again, applies that one edit and runs that row's
-tests with pytest.  It prints which tests failed, then a table of the
+``MUTANTS`` is a table of one-line mutants of the package's source.  Each
+row names the file it edits, the exact text it replaces there, its
+replacement, and the tests expected to kill it.  The script first copies
+the repository to a temporary directory and runs every listed test there
+unmutated; then, for each mutant, it copies the repository again, applies
+that one edit and runs that row's tests with pytest.  It prints which tests failed, then a table of the
 mutants and the tests that killed them.
 
 Exits 1 if the unmutated copy fails any listed test or a mutant survives
 all of its tests, else 0.  M1-M5 keep each run's n_solver_evals equal to
-declared_evals; M6 breaks only that equality.
+declared_evals; M6 breaks only that equality.  M7 caches each new axis
+factorization under another axis's key; every solve's residual check still
+passes, because it applies the same wrong axis it solved with.
 """
 
 import os
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/zo_meshopt/train.py")
+TRAIN = Path("src/zo_meshopt/train.py")
+SOLVER = Path("src/zo_meshopt/solver.py")
 IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_runs", ".benchmarks",
     "out", "*.egg-info",
@@ -37,12 +41,18 @@ REPLAY = "tests/test_train.py::test_joint_epoch_uses_one_workspace_and_matches_f
 SUBSET = "tests/test_train.py::test_gauss_coord_subset_clipped_to_dimension"
 BUDGET = "tests/test_train.py::test_budget_matches_declared_and_counter"
 CLI_BUDGET = "tests/test_cli.py::test_train_counts_every_solve"
+STACKED = "tests/test_solver.py::test_stacked_factorizations_equal_one_axis_factorizations"
+LOOKUP = "tests/test_solver.py::test_lookup_of_more_new_axes_than_the_cache_holds"
+BLOCK = ("tests/test_solver.py::"
+         "test_block_of_more_new_axes_than_the_cache_holds_equals_one_mesh_solves")
+ORACLES = "tests/test_acceptance.py::test_differentiation_oracles"
 
 
 @dataclass(frozen=True)
 class Mutant:
     name: str
     what: str
+    path: Path
     old: str
     new: str
     tests: tuple[str, ...]
@@ -51,30 +61,35 @@ class Mutant:
 MUTANTS = (
     Mutant(
         "M1", "every mesh gradient sign-flipped (exact too)",
+        TRAIN,
         "adam_step(adam_mesh, mesh_to_params(coarse), mesh_g)",
         "adam_step(adam_mesh, mesh_to_params(coarse), -mesh_g)",
         (ORDERING, WARM_START, BD_TRENDS, REPLAY),
     ),
     Mutant(
         "M2", "ZO estimate sign-flipped",
+        TRAIN,
         "mesh_g += zo_vjp(",
         "mesh_g -= zo_vjp(",
         (ORDERING, WARM_START, BD_TRENDS),
     ),
     Mutant(
         "M3", "ZO estimate times 0",
+        TRAIN,
         "mesh_g += zo_vjp(",
         "mesh_g += 0 * zo_vjp(",
         (ORDERING, SUBSET, REPLAY),
     ),
     Mutant(
         "M4", "estimator seed never advances",
+        TRAIN,
         "est_calls += 1",
         "est_calls += 0",
         (ORDERING, REPLAY),
     ),
     Mutant(
         "M5", "ZO estimate turned by a random orthogonal matrix: its norm, no direction",
+        TRAIN,
         "mesh_g += zo_vjp(",
         "mesh_g += np.linalg.qr(np.random.default_rng(est_calls).standard_normal("
         "(params0.size,) * 2))[0] @ zo_vjp(",
@@ -82,9 +97,17 @@ MUTANTS = (
     ),
     Mutant(
         "M6", "declared_evals counts one joint epoch too many",
+        TRAIN,
         "joint = max(0, done - config.warm_start_epochs)",
         "joint = max(0, done - config.warm_start_epochs + 1)",
         (BUDGET, CLI_BUDGET),
+    ),
+    Mutant(
+        "M7", "new axes cached under each other's keys",
+        SOLVER,
+        "_AXES.update(zip(group, _factorize(stack)))",
+        "_AXES.update(zip(reversed(group), _factorize(stack)))",
+        (STACKED, LOOKUP, BLOCK, ORACLES, ORDERING),
     ),
 )
 
@@ -96,12 +119,13 @@ def copy_tree(dest: Path) -> Path:
 
 
 def apply(mutant: Mutant, tree: Path) -> None:
-    """Replace the mutant's text in tree's train.py; it must occur once."""
-    path = tree / TARGET
+    """Replace the mutant's text in tree's copy of its file; it must occur
+    once."""
+    path = tree / mutant.path
     text = path.read_text()
     if text.count(mutant.old) != 1:
         raise ValueError(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} "
-                         f"times in {TARGET}, not once")
+                         f"times in {mutant.path}, not once")
     path.write_text(text.replace(mutant.old, mutant.new))
 
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-DEFAULT_MIN_GAP = 1e-4
+MIN_GAP = 1e-4
 
 
-def _validate_lines(lines: np.ndarray, s_min: float, axis: str) -> None:
+def _validate_lines(lines: np.ndarray, axis: str) -> None:
     # One pass for the common, valid case; NaN and inf fail it.  Anything
     # else falls through to the checks below, which name what is wrong.
     if (
@@ -36,7 +36,7 @@ def _validate_lines(lines: np.ndarray, s_min: float, axis: str) -> None:
         and lines.size >= 2
         and lines[0] == 0.0
         and lines[-1] == 1.0
-        and (lines[1:] - lines[:-1]).min() >= s_min
+        and (lines[1:] - lines[:-1]).min() >= MIN_GAP
     ):
         return
     if lines.ndim != 1 or lines.size < 2:
@@ -47,15 +47,15 @@ def _validate_lines(lines: np.ndarray, s_min: float, axis: str) -> None:
         raise ValueError(
             f"{axis}_lines must run from 0 to 1 exactly, got [{lines[0]}, {lines[-1]}]"
         )
-    if np.any(np.diff(lines) < s_min):
-        raise ValueError(f"{axis}_lines spacing falls below the minimum gap {s_min}")
+    if np.any(np.diff(lines) < MIN_GAP):
+        raise ValueError(f"{axis}_lines spacing falls below the minimum gap {MIN_GAP}")
 
 
 @dataclass(frozen=True, eq=False)
 class TensorMesh:
     """Grid-line positions of a tensor-product mesh over [0, 1]^2.
 
-    Lines are strictly increasing with consecutive gaps of at least ``s_min``;
+    Lines are strictly increasing with consecutive gaps of at least ``MIN_GAP``;
     the arrays are made read-only so meshes can be shared freely.  Meshes are
     equal and hash alike exactly when their ``key``s are, so a mesh can key
     a memo by content.
@@ -63,26 +63,22 @@ class TensorMesh:
 
     x_lines: np.ndarray
     y_lines: np.ndarray
-    s_min: float = DEFAULT_MIN_GAP
 
     def __post_init__(self):
-        if not (0.0 < self.s_min <= 1.0):
-            raise ValueError(f"s_min must lie in (0, 1], got {self.s_min}")
         x = np.array(self.x_lines, dtype=float)
         y = np.array(self.y_lines, dtype=float)
-        _validate_lines(x, self.s_min, "x")
-        _validate_lines(y, self.s_min, "y")
+        _validate_lines(x, "x")
+        _validate_lines(y, "y")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x_lines", x)
         object.__setattr__(self, "y_lines", y)
 
     @functools.cached_property
-    def key(self) -> tuple[bytes, bytes, float]:
-        """The mesh's content: the bytes of its x lines and of its y lines,
-        and s_min.  Each line entry also keys that axis in the solver's
-        factorization cache."""
-        return (self.x_lines.tobytes(), self.y_lines.tobytes(), self.s_min)
+    def key(self) -> tuple[bytes, bytes]:
+        """The mesh's content: the bytes of its x lines and of its y lines.
+        Each entry also keys that axis in the solver's factorization cache."""
+        return (self.x_lines.tobytes(), self.y_lines.tobytes())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorMesh):
@@ -150,12 +146,12 @@ class ScenarioParams:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
-def uniform_mesh(nx: int, ny: int | None = None, s_min: float = DEFAULT_MIN_GAP) -> TensorMesh:
+def uniform_mesh(nx: int, ny: int | None = None) -> TensorMesh:
     """Uniformly spaced mesh with nx x-lines and ny y-lines."""
     ny = nx if ny is None else ny
     if nx < 2 or ny < 2:
         raise ConfigError(f"a mesh needs at least 2 lines per axis, got {nx}x{ny}")
-    return TensorMesh(np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny), s_min)
+    return TensorMesh(np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny))
 
 
 def mesh_to_params(mesh: TensorMesh) -> np.ndarray:
@@ -227,7 +223,7 @@ def params_to_meshes(template: TensorMesh, params: np.ndarray) -> list[TensorMes
 
     Each row's interior positions are sorted ascending, then swept left to
     right with each line clamped so every gap (boundaries included) stays
-    >= s_min.  Already-feasible rows pass through unchanged, so the
+    >= MIN_GAP.  Already-feasible rows pass through unchanged, so the
     projection is idempotent.  All rows are sorted and checked in one
     vectorized pass; only a row with a short gap runs the sweep.
     """
@@ -239,9 +235,9 @@ def params_to_meshes(template: TensorMesh, params: np.ndarray) -> list[TensorMes
     if not np.all(np.isfinite(p)):
         raise ValueError("mesh parameters contain non-finite values")
     n_xi = template.x_lines.size - 2
-    xs = _project_lines(p[:, :n_xi], template.s_min)
-    ys = _project_lines(p[:, n_xi:], template.s_min)
-    return [TensorMesh(x, y, template.s_min) for x, y in zip(xs, ys)]
+    xs = _project_lines(p[:, :n_xi], MIN_GAP)
+    ys = _project_lines(p[:, n_xi:], MIN_GAP)
+    return [TensorMesh(x, y) for x, y in zip(xs, ys)]
 
 
 def params_to_mesh(template: TensorMesh, params: np.ndarray) -> TensorMesh:

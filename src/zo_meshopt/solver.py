@@ -25,7 +25,7 @@ repeat from call to call: one coarse mesh is solved for every scenario
 alpha of an epoch, a uniform fine mesh has equal x and y lines, and each
 central-difference perturbation of ``exact_mesh_vjp`` moves one line, so
 its other axis is the base mesh's.  Factorizations are therefore kept in a
-least-recently-used cache keyed on the bytes of the lines, the two line
+least-recently-used cache keyed on the bytes of the lines, the two
 entries of ``TensorMesh.key`` (see ``_AXIS_CACHE_SIZE`` for the bound), and
 every cached array is read-only.  One routine, ``_axes``, is the only
 lookup: it takes a list of keys and factorizes all the missing ones in one
@@ -189,7 +189,7 @@ def _solve(
     nx, ny = mesh.shape
     if nx < 3 or ny < 3:
         raise ValueError(f"mesh {nx}x{ny} has no interior nodes to solve for")
-    ax, ay = _axes(mesh.key[:2])
+    ax, ay = _axes(mesh.key)
     rhs = np.asarray(rhs_fn(mesh.x_lines[1:-1], mesh.y_lines[1:-1, None]), dtype=float)
     u = _solve_interior(ax, ay, rhs) / params.alpha
     # A NaN or inf anywhere in u makes the residual NaN or inf.
@@ -230,7 +230,7 @@ def _solve_block(meshes: Sequence[TensorMesh], params: ScenarioParams) -> np.nda
     nodes each: every axis of the block is looked up first, in one ``_axes``
     call, then each mesh is one ``solve_poisson`` call, so the block adds b
     to ``solve_count()``.  The only place that solves a block."""
-    _axes([line_key for mesh in meshes for line_key in mesh.key[:2]])
+    _axes([line_key for mesh in meshes for line_key in mesh.key])
     out = np.empty((len(meshes), meshes[0].n_nodes))
     for row, mesh in zip(out, meshes):
         row[:] = solve_poisson(mesh, params).field.values

@@ -25,6 +25,7 @@ import numpy as np
 from . import net
 from .errors import ConfigError
 from .grid import (
+    MIN_GAP,
     ScenarioParams,
     TensorMesh,
     mesh_to_params,
@@ -298,7 +299,7 @@ def write_checkpoint(path: str | Path, config: TrainConfig, state: TrainState) -
         "mesh": {
             "x_lines": state.mesh.x_lines.tolist(),
             "y_lines": state.mesh.y_lines.tolist(),
-            "s_min": state.mesh.s_min,
+            "s_min": MIN_GAP,
         },
         "net": {
             "layer_dims": list(state.net.layer_dims),

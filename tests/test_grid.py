@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import zo_meshopt.grid as grid_mod
 from zo_meshopt.grid import (
-    DEFAULT_MIN_GAP,
+    MIN_GAP,
     Field,
     TensorMesh,
     _project_lines,
@@ -22,6 +22,7 @@ from zo_meshopt.grid import (
     write_field_csv,
     write_text_atomic,
 )
+from test_solver import _spread_lines
 
 
 def brute_nearest_index(lines, target):
@@ -35,8 +36,7 @@ def test_meshes_compare_and_hash_by_content():
     assert a is not b
     assert a == b and hash(a) == hash(b)
     other = np.array([0.0, 0.2, 0.5, 0.75, 1.0])
-    for c in (TensorMesh(other, a.y_lines), TensorMesh(a.x_lines, other),
-              uniform_mesh(5, s_min=1e-3)):
+    for c in (TensorMesh(other, a.y_lines), TensorMesh(a.x_lines, other)):
         assert a != c and c != a
     assert a != a.key and a != "mesh"
 
@@ -77,7 +77,7 @@ def test_mesh_rejects_bad_boundaries():
 
 
 def test_mesh_rejects_tight_gap():
-    lines = np.array([0.0, 0.5, 0.5 + 0.5 * DEFAULT_MIN_GAP, 1.0])
+    lines = np.array([0.0, 0.5, 0.5 + 0.5 * MIN_GAP, 1.0])
     with pytest.raises(ValueError):
         TensorMesh(lines, np.linspace(0.0, 1.0, 4))
 
@@ -112,7 +112,7 @@ def test_projection_sorts_and_clamps():
     m2 = params_to_mesh(m, p)
     for lines in (m2.x_lines, m2.y_lines):
         assert lines[0] == 0.0 and lines[-1] == 1.0
-        assert np.all(np.diff(lines) >= m.s_min)
+        assert np.all(np.diff(lines) >= MIN_GAP)
 
 
 def test_projection_rejects_non_finite():
@@ -130,8 +130,8 @@ def test_projection_idempotent_and_feasible(vals, _):
     m = uniform_mesh(9)
     p = np.array(vals)
     m1 = params_to_mesh(m, p)
-    assert np.all(np.diff(m1.x_lines) >= m.s_min)
-    assert np.all(np.diff(m1.y_lines) >= m.s_min)
+    assert np.all(np.diff(m1.x_lines) >= MIN_GAP)
+    assert np.all(np.diff(m1.y_lines) >= MIN_GAP)
     m2 = params_to_mesh(m, mesh_to_params(m1))
     assert np.array_equal(m1.x_lines, m2.x_lines)
     assert np.array_equal(m1.y_lines, m2.y_lines)
@@ -152,8 +152,8 @@ def test_params_to_meshes_equals_row_wise_projection(nx, ny, rows, scale, seed):
     n_xi = nx - 2
     for got, p in zip(meshes, block):
         one = params_to_mesh(m, p)
-        swept_x = _project_lines_loop(p[:n_xi], m.s_min)
-        swept_y = _project_lines_loop(p[n_xi:], m.s_min)
+        swept_x = _project_lines_loop(p[:n_xi], MIN_GAP)
+        swept_y = _project_lines_loop(p[n_xi:], MIN_GAP)
         for lines, want in ((got.x_lines, one.x_lines), (got.x_lines, swept_x),
                             (got.y_lines, one.y_lines), (got.y_lines, swept_y)):
             assert lines.tobytes() == want.tobytes()
@@ -175,7 +175,7 @@ def test_projection_crowded_top_and_bottom():
     for fill in (1.2, -0.5, 0.99997):
         p = np.full(14, fill)
         m1 = params_to_mesh(m, p)
-        assert np.all(np.diff(m1.x_lines) >= m.s_min)
+        assert np.all(np.diff(m1.x_lines) >= MIN_GAP)
         m2 = params_to_mesh(m, mesh_to_params(m1))
         assert np.array_equal(m1.x_lines, m2.x_lines)
 
@@ -193,7 +193,7 @@ def interior_lines(draw):
     a few ulps either side of it, or anywhere, plus stray values; too many
     lines for the gap make the input infeasible.  Half the cases draw no gap
     below s_min and no stray, so they mostly take the fast path."""
-    s_min = draw(st.sampled_from([DEFAULT_MIN_GAP, 1e-3, 0.05, 0.2, 0.25, 1.0 / 3.0]))
+    s_min = draw(st.sampled_from([MIN_GAP, 1e-3, 0.05, 0.2, 0.25, 1.0 / 3.0]))
     from_top = draw(st.booleans())
     lowest_ulps = draw(st.sampled_from([-3, 0]))
     kinds = ["tight", "tight", "free", "free"] + ["stray"] * (lowest_ulps < 0)
@@ -234,10 +234,10 @@ def test_feasible_lines_skip_the_sweep(monkeypatch):
         raise AssertionError("feasible lines went through the sweep")
 
     monkeypatch.setattr(grid_mod, "_project_lines_loop", no_sweep)
-    interior = np.array([0.75, DEFAULT_MIN_GAP, 0.5, 0.9])
+    interior = np.array([0.75, MIN_GAP, 0.5, 0.9])
     assert np.array_equal(
-        _project_lines(interior[None], DEFAULT_MIN_GAP)[0],
-        [0.0, DEFAULT_MIN_GAP, 0.5, 0.75, 0.9, 1.0],
+        _project_lines(interior[None], MIN_GAP)[0],
+        [0.0, MIN_GAP, 0.5, 0.75, 0.9, 1.0],
     )
 
 
@@ -326,12 +326,8 @@ def test_upsample_adjoint_matches_add_at_bitwise(ncx, ncy, nfx, nfy, seed):
     """Random coarse and fine lines and cotangents spanning 20 decades, so any
     change in summation order would show in the last bits."""
     rng = np.random.default_rng(seed)
-
-    def lines(k):
-        return np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k - 2)), [1.0]])
-
-    coarse = TensorMesh(lines(ncx), lines(ncy), s_min=1e-9)
-    fine = TensorMesh(lines(nfx), lines(nfy), s_min=1e-9)
+    coarse = TensorMesh(_spread_lines(rng, ncx), _spread_lines(rng, ncy))
+    fine = TensorMesh(_spread_lines(rng, nfx), _spread_lines(rng, nfy))
     values = rng.standard_normal(fine.n_nodes) * 10.0 ** rng.uniform(-10, 10, fine.n_nodes)
     ix = grid_mod._nearest_line_index(coarse.x_lines, fine.x_lines)
     iy = grid_mod._nearest_line_index(coarse.y_lines, fine.y_lines)
@@ -348,14 +344,10 @@ def test_cached_upsample_map_matches_direct_gather_and_add_at(nc, nf, seed):
     content, so the copy reuses A's map): every result equals the direct
     per-axis gather and np.add.at bit for bit."""
     rng = np.random.default_rng(seed)
-
-    def lines(k):
-        return np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, k - 2)), [1.0]])
-
-    fine = TensorMesh(lines(nf), lines(nf + 1), s_min=1e-9)
-    mesh_a = TensorMesh(lines(nc), lines(nc + 2), s_min=1e-9)
-    mesh_b = TensorMesh(lines(nc), lines(nc + 2), s_min=1e-9)
-    for coarse in (mesh_a, mesh_b, TensorMesh(mesh_a.x_lines, mesh_a.y_lines, s_min=1e-9)):
+    fine = TensorMesh(_spread_lines(rng, nf), _spread_lines(rng, nf + 1))
+    mesh_a = TensorMesh(_spread_lines(rng, nc), _spread_lines(rng, nc + 2))
+    mesh_b = TensorMesh(_spread_lines(rng, nc), _spread_lines(rng, nc + 2))
+    for coarse in (mesh_a, mesh_b, TensorMesh(mesh_a.x_lines, mesh_a.y_lines)):
         field = rng.standard_normal(coarse.n_nodes)
         ix = grid_mod._nearest_line_index(coarse.x_lines, fine.x_lines)
         iy = grid_mod._nearest_line_index(coarse.y_lines, fine.y_lines)

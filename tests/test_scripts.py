@@ -101,22 +101,22 @@ def _files(tree):
 
 
 def test_mutation_table_applies_to_the_current_source(tmp_path):
-    """Each mutant's text occurs once in train.py, its edit compiles and
+    """Each mutant's text occurs once in its file, its edit compiles and
     names listed tests that exist, and applying it to a copy of the tree
     changes that one file only.  No mutant is run."""
     check = _load_script("mutation_check")
-    source = (ROOT / check.TARGET).read_text()
     tree = check.copy_tree(tmp_path / "tree")
     before = _files(tree)
     for mutant in check.MUTANTS:
+        source = (ROOT / mutant.path).read_text()
         assert source.count(mutant.old) == 1, mutant.name
         for test in mutant.tests:
             path, name = test.split("::")
             assert f"def {name}(" in (ROOT / path).read_text(), test
         check.apply(mutant, tree)
         after = _files(tree)
-        mutated = after.pop(check.TARGET)
+        mutated = after.pop(mutant.path)
         assert mutated.decode() == source.replace(mutant.old, mutant.new)
-        compile(mutated, str(check.TARGET), "exec")
-        assert after == {k: v for k, v in before.items() if k != check.TARGET}
-        (tree / check.TARGET).write_bytes(before[check.TARGET])
+        compile(mutated, str(mutant.path), "exec")
+        assert after == {k: v for k, v in before.items() if k != mutant.path}
+        (tree / mutant.path).write_bytes(before[mutant.path])

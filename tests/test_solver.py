@@ -1,4 +1,8 @@
 """Finite-difference Poisson solver on non-uniform tensor meshes."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +60,7 @@ def _random_lines(rng, n):
 
 
 def _oracle_meshes():
-    """Uniform, random non-uniform, non-square, and gaps close to s_min."""
+    """Uniform, random non-uniform, non-square, and gaps close to MIN_GAP."""
     rng = np.random.default_rng(11)
     tight = np.array([0.0, 1.01e-4, 2.02e-4, 0.5, 0.50011, 0.9997, 0.99985, 1.0])
     return [
@@ -338,7 +342,7 @@ def _assert_same_axis(got, want):
 
 
 def _spread_lines(rng, n):
-    """n lines from 0 to 1 with random gaps, all far above s_min."""
+    """n lines from 0 to 1 with random gaps, all far above MIN_GAP."""
     lines = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n - 1))])
     lines /= lines[-1]
     return lines
@@ -501,3 +505,19 @@ def test_perturbed_mesh_memo_holds_one_mesh():
             exact_mesh_vjp(mesh, ScenarioParams(alpha), v)
             assert solver_mod._perturbed_meshes.cache_info().currsize == 1
     assert solver_mod._perturbed_meshes.cache_info().misses == 3
+
+
+def test_solver_imports_without_the_training_stack():
+    """The solver stands alone: in a fresh interpreter, importing it loads
+    the package, its errors and grid modules and itself, nothing more."""
+    src = Path(solver_mod.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import zo_meshopt.solver\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'zo_meshopt'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == str(
+        ["zo_meshopt", "zo_meshopt.errors", "zo_meshopt.grid", "zo_meshopt.solver"])
