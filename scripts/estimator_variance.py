@@ -24,6 +24,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.trials < 2:
         ap.error(f"--trials must be at least 2 for a seed spread, got {args.trials}")
+    if args.coarse_n < 3:
+        ap.error(f"--coarse-n must be at least 3 for an interior line per axis, "
+                 f"got {args.coarse_n}")
+    for flag, value in (("--alpha", args.alpha), ("--mu", args.mu)):
+        if not np.isfinite(value) or value <= 0:
+            ap.error(f"{flag} must be positive and finite, got {value}")
 
     mesh = uniform_mesh(args.coarse_n)
     scenario = ScenarioParams(alpha=args.alpha)

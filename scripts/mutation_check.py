@@ -15,7 +15,8 @@ Exits 1 if the unmutated copy fails any listed test or a mutant survives
 all of its tests, else 0.  M1-M5 keep each run's n_solver_evals equal to
 declared_evals; M6 breaks only that equality.  M7 caches each new axis
 factorization under another axis's key; every solve's residual check still
-passes, because it applies the same wrong axis it solved with.
+passes, because it applies the same wrong axis it solved with.  M8 drops
+the square root from test_rmse, so every run reports its mean test MSE.
 """
 
 import os
@@ -41,6 +42,9 @@ REPLAY = "tests/test_train.py::test_joint_epoch_uses_one_workspace_and_matches_f
 SUBSET = "tests/test_train.py::test_gauss_coord_subset_clipped_to_dimension"
 BUDGET = "tests/test_train.py::test_budget_matches_declared_and_counter"
 CLI_BUDGET = "tests/test_cli.py::test_train_counts_every_solve"
+SWEEP_FILES = "tests/test_cli.py::test_sweep_modes_cells_write_the_runs_files"
+BENCH_CHECKS = "tests/test_cli.py::test_bench_tracer_sees_every_solve_and_leaves_no_wrapper"
+RMSE = "tests/test_train.py::test_test_rmse_matches_manual_recompute"
 STACKED = "tests/test_solver.py::test_stacked_factorizations_equal_one_axis_factorizations"
 LOOKUP = "tests/test_solver.py::test_lookup_of_more_new_axes_than_the_cache_holds"
 BLOCK = ("tests/test_solver.py::"
@@ -108,6 +112,13 @@ MUTANTS = (
         "_AXES.update(zip(group, _factorize(stack)))",
         "_AXES.update(zip(reversed(group), _factorize(stack)))",
         (STACKED, LOOKUP, BLOCK, ORACLES, ORDERING),
+    ),
+    Mutant(
+        "M8", "test_rmse reports the mean test MSE",
+        TRAIN,
+        "test_rmse = float(np.mean(np.sqrt(test_losses)))",
+        "test_rmse = float(np.mean(test_losses))",
+        (RMSE, CLI_BUDGET, SWEEP_FILES, BENCH_CHECKS),
     ),
 )
 

@@ -164,24 +164,15 @@ class TrainState:
 
 @dataclass(frozen=True)
 class LossCache:
+    """One scenario's pass, as ``loss_backward`` needs it.  ``predictions``
+    is a view into the pass's workspace and lives until its next forward;
+    ``resid`` is a float64 array of its own, whose mean square is the loss."""
+
     coarse_mesh: TensorMesh
     fine_mesh: TensorMesh
     net_cache: net.ForwardCache
     predictions: np.ndarray
     resid: np.ndarray  # predictions[:, 0] - truth, float64
-
-
-def node_features(
-    fine_mesh: TensorMesh, upsampled: np.ndarray, alpha: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-fine-node rows [x, y, upsampled value, alpha], written into out
-    (a fresh (n, 4) array when None)."""
-    if out is None:
-        out = np.empty((fine_mesh.n_nodes, 4))
-    out[:, 0], out[:, 1] = fine_mesh.node_coords
-    out[:, 2] = upsampled
-    out[:, 3] = float(alpha)
-    return out
 
 
 def loss_from_coarse_field(
@@ -192,18 +183,19 @@ def loss_from_coarse_field(
     fine_mesh: TensorMesh,
     fine_field: np.ndarray,
     *,
-    workspace: net.Workspace | None = None,
+    workspace: net.Workspace,
 ) -> tuple[float, LossCache]:
     """MSE over all fine nodes, driven from an already-solved coarse field.
 
-    With a workspace, features and network passes reuse its buffers and run
-    in its dtype, so the cache's predictions live only until the
+    Writes each fine node's features [x, y, upsampled coarse value, alpha]
+    into ``workspace.features`` and runs the network pass there, in the
+    workspace's dtype, so the cache's predictions live only until the
     workspace's next forward.  The residual and the loss are float64.
     """
-    u_up = nearest_upsample(coarse_mesh, coarse_field, fine_mesh)
-    feats = node_features(
-        fine_mesh, u_up, scenario.alpha, None if workspace is None else workspace.features
-    )
+    feats = workspace.features
+    feats[:, 0], feats[:, 1] = fine_mesh.node_coords
+    feats[:, 2] = nearest_upsample(coarse_mesh, coarse_field, fine_mesh)
+    feats[:, 3] = float(scenario.alpha)
     preds, cache = net.forward(net_params, feats, workspace)
     resid = preds[:, 0] - fine_field
     loss = float(resid @ resid / resid.size)
@@ -226,14 +218,6 @@ def loss_backward(
     if not mesh_cotangent:
         return grads, None
     return grads, upsample_adjoint(cache.coarse_mesh, cache.fine_mesh, input_grads[:, 2])
-
-
-def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Root-mean-square difference of two fields of one mesh."""
-    if pred.ndim != 1 or pred.shape != truth.shape:
-        raise ValueError(f"field shapes {pred.shape} and {truth.shape} do not match")
-    diff = pred - truth
-    return float(np.sqrt(diff @ diff / diff.size))
 
 
 def declared_evals(config: TrainConfig, epochs_done: int | None = None) -> int:
@@ -415,17 +399,19 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                     except NonFiniteGradient as err:
                         log.warning("epoch %d: skipping mesh update: %s", epoch, err)
             test_outputs = []
+            test_losses = []
             for alpha in config.test_alphas:
                 scenario = ScenarioParams(alpha)
                 truth = fine_truth(alpha)
-                _, cache = loss_from_coarse_field(
+                loss, cache = loss_from_coarse_field(
                     coarse, netp, scenario, solve_poisson(coarse, scenario).field.values,
                     fine_mesh, truth, workspace=workspace,
                 )
+                test_losses.append(loss)
                 # Copied out of the workspace, which the next forward refills.
                 pred = cache.predictions[:, 0].astype(float)
                 test_outputs.append((alpha, pred, truth))
-            test_rmse = float(np.mean([rmse(pred, truth) for _, pred, truth in test_outputs]))
+            test_rmse = float(np.mean(np.sqrt(test_losses)))
             metrics.append(
                 EpochMetrics(
                     epoch=epoch,

@@ -201,12 +201,15 @@ def test_differentiation_oracles():
     netp2 = net.init_params((4, 8, 1), seed=2)
     truth = solve_poisson(fine, scenario).field.values
     coarse_field = solve_poisson(coarse, scenario).field.values
-    _, lcache = loss_from_coarse_field(coarse, netp2, scenario, coarse_field, fine, truth)
+    ws = net.Workspace(netp2.layer_dims, fine.n_nodes)
+    _, lcache = loss_from_coarse_field(coarse, netp2, scenario, coarse_field, fine, truth,
+                                       workspace=ws)
     _, v_coarse = loss_backward(lcache)
     w = np.random.default_rng(11).standard_normal(coarse.n_nodes)
 
     def loss_with(values):
-        loss, _ = loss_from_coarse_field(coarse, netp2, scenario, values, fine, truth)
+        loss, _ = loss_from_coarse_field(coarse, netp2, scenario, values, fine, truth,
+                                         workspace=ws)
         return loss
 
     hh = 1e-6

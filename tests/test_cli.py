@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +69,9 @@ def test_train_counts_every_solve(tmp_path, monkeypatch):
     assert len(calls) == int(last[3]) == train_mod.declared_evals(config)
     per = []
     for alpha in config.test_alphas:
-        pred = read_field_csv(tmp_path / "out" / f"pred_alpha_{alpha:g}.csv")
-        truth = read_field_csv(tmp_path / "out" / f"truth_alpha_{alpha:g}.csv")
-        per.append(train_mod.rmse(pred, truth))
+        diff = (read_field_csv(tmp_path / "out" / f"pred_alpha_{alpha:g}.csv")
+                - read_field_csv(tmp_path / "out" / f"truth_alpha_{alpha:g}.csv"))
+        per.append(np.sqrt(diff @ diff / diff.size))
     assert float(np.mean(per)) == float(last[2])
 
 
@@ -78,20 +79,30 @@ def test_train_counts_every_solve(tmp_path, monkeypatch):
 def test_bench_tracer_sees_every_solve_and_leaves_no_wrapper(tmp_path, monkeypatch, mode):
     """The benchmark's layer tracer (bench/layertrace.py) records one solve
     span per counted solve of a desk train command, and leaving it restores
-    every binding it replaced."""
-    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
-    layertrace = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules.
-    monkeypatch.setitem(sys.modules, "layertrace", layertrace)
-    spec.loader.exec_module(layertrace)
+    every binding it replaced.  The run's files then pass the benchmark's
+    output checks (bench/checks.py) on those traced layers."""
+    modules = {}
+    for name in ("layertrace", "checks"):
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        # The tracer's dataclasses look their module up in sys.modules.
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    layertrace, checks = modules["layertrace"], modules["checks"]
     out = tmp_path / "run"
-    args = ["train", "--config", str(ROOT / "configs" / "desk.json"), "--mesh-mode", mode,
-            "--epochs", "3", "--warm-start", "1", "--out", str(out)]
+    desk = str(ROOT / "configs" / "desk.json")
+    args = ["train", "--config", desk, "--mesh-mode", mode, "--epochs", "3", "--warm-start",
+            "1", "--out", str(out)]
     with layertrace.Tracer() as tracer:
         assert cli.main(args) == 0
     last = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
     assert sum(span.name == "solve" for span in tracer.spans) == int(last[3])
     assert layertrace.installed_wrappers() == []
+    config = replace(cli.load_config(desk), mesh_mode=mode, epochs=3, warm_start_epochs=1)
+    layers = layertrace.layer_metrics(tracer.spans, (config.fine_n, config.fine_n))
+    failures, _ = checks.check_outputs(out, config, train_mod.declared_evals, layers,
+                                       solver_mod.RESIDUAL_TOL)
+    assert failures == []
 
 
 def test_train_does_not_import_scipy(tmp_path):
@@ -364,11 +375,11 @@ def test_sweep_modes_cells_write_the_runs_files(tmp_path):
     assert sorted(final) == sorted(train_mod.MESH_MODES)
     for mode, test_rmse in final.items():
         cell = tmp_path / "sw" / f"mode_{mode}"
-        per = [
-            train_mod.rmse(read_field_csv(cell / f"pred_alpha_{a:g}.csv"),
-                           read_field_csv(cell / f"truth_alpha_{a:g}.csv"))
-            for a in (1.0, 1.2)
-        ]
+        per = []
+        for a in (1.0, 1.2):
+            diff = (read_field_csv(cell / f"pred_alpha_{a:g}.csv")
+                    - read_field_csv(cell / f"truth_alpha_{a:g}.csv"))
+            per.append(np.sqrt(diff @ diff / diff.size))
         assert float(np.mean(per)) == test_rmse, mode
         assert train_mod.INCOMPLETE_MARKER not in (cell / "metrics.csv").read_text()
         assert (cell / "checkpoint.json").exists()

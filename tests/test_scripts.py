@@ -51,6 +51,20 @@ def test_estimator_variance_rejects_fewer_than_two_trials(trials):
     assert "--trials" in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--coarse-n", "2"), ("--coarse-n", "1"), ("--alpha", "0"), ("--alpha", "nan"),
+    ("--mu", "-1"),
+])
+def test_estimator_variance_rejects_bad_values_before_solving(flag, value):
+    """A mesh without interior lines, a non-positive alpha or a non-positive
+    mu is a usage error named by its flag, reported before any solve."""
+    proc = run_script("--trials", "2", "--coarse-n", "5", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

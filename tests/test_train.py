@@ -29,8 +29,6 @@ from zo_meshopt.train import (
     declared_evals,
     loss_backward,
     loss_from_coarse_field,
-    node_features,
-    rmse,
     sweep,
     train_run,
 )
@@ -64,7 +62,8 @@ def test_loss_from_coarse_field_matches_recomputation():
     truth = solve_poisson(fine, scenario).field.values
 
     coarse_field = solve_poisson(coarse, scenario).field.values
-    loss, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
+    loss, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth,
+                                         workspace=net.Workspace(netp.layer_dims, fine.n_nodes))
 
     ref_coarse = solve_poisson(coarse, scenario).field.values
     assert np.array_equal(coarse_field, ref_coarse)
@@ -83,7 +82,9 @@ def test_loss_backward_theta_directional_fd():
     netp = net.init_params((4, 8, 1), seed=1)
     truth = solve_poisson(fine, scenario).field.values
     coarse_field = solve_poisson(coarse, scenario).field.values
-    _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
+    ws = net.Workspace(netp.layer_dims, fine.n_nodes)
+    _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth,
+                                      workspace=ws)
     grads, _ = loss_backward(cache)
 
     rng = np.random.default_rng(10)
@@ -94,7 +95,8 @@ def test_loss_backward_theta_directional_fd():
 
     def loss_at(vec):
         p = net.MlpParams(netp.layer_dims, vec)
-        l, _ = loss_from_coarse_field(coarse, p, scenario, coarse_field, fine, truth)
+        l, _ = loss_from_coarse_field(coarse, p, scenario, coarse_field, fine, truth,
+                                      workspace=ws)
         return l
 
     fd = (loss_at(theta + h * direction) - loss_at(theta - h * direction)) / (2 * h)
@@ -110,7 +112,9 @@ def test_loss_backward_coarse_cotangent_fd():
     netp = net.init_params((4, 8, 1), seed=2)
     truth = solve_poisson(fine, scenario).field.values
     coarse_field = solve_poisson(coarse, scenario).field.values
-    _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth)
+    ws = net.Workspace(netp.layer_dims, fine.n_nodes)
+    _, cache = loss_from_coarse_field(coarse, netp, scenario, coarse_field, fine, truth,
+                                      workspace=ws)
     _, v_coarse = loss_backward(cache)
 
     rng = np.random.default_rng(11)
@@ -118,7 +122,8 @@ def test_loss_backward_coarse_cotangent_fd():
     h = 1e-6
 
     def loss_with(values):
-        l, _ = loss_from_coarse_field(coarse, netp, scenario, values, fine, truth)
+        l, _ = loss_from_coarse_field(coarse, netp, scenario, values, fine, truth,
+                                      workspace=ws)
         return l
 
     fd = (loss_with(coarse_field + h * w) - loss_with(coarse_field - h * w)) / (2 * h)
@@ -126,8 +131,15 @@ def test_loss_backward_coarse_cotangent_fd():
 
 
 def test_node_features_layout():
+    """A loss call writes each fine node's [x, y, upsampled coarse value,
+    alpha] into its workspace's features; the coarse mesh here is the fine
+    one, so the upsample copies the field."""
     fine = uniform_mesh(3)
-    feats = node_features(fine, np.arange(9.0), 0.75)
+    netp = net.init_params((4, 8, 1), seed=0)
+    ws = net.Workspace(netp.layer_dims, fine.n_nodes)
+    loss_from_coarse_field(fine, netp, ScenarioParams(0.75), np.arange(9.0), fine, np.zeros(9),
+                           workspace=ws)
+    feats = ws.features
     assert feats.shape == (9, 4)
     assert np.array_equal(feats[:, 3], np.full(9, 0.75))
     assert feats[1, 0] == 0.5 and feats[1, 1] == 0.0
@@ -527,7 +539,8 @@ def test_test_rmse_matches_manual_recompute(tmp_path):
             state.mesh, state.net, scenario, solve_poisson(state.mesh, scenario).field.values,
             fine, truth, workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
         )
-        per.append(rmse(cache.predictions[:, 0].astype(float), truth))
+        diff = cache.predictions[:, 0].astype(float) - truth
+        per.append(np.sqrt(diff @ diff / diff.size))
     assert metrics[-1].test_rmse == pytest.approx(float(np.mean(per)), rel=0, abs=1e-15)
 
 
@@ -543,12 +556,3 @@ def test_scale_sweep_writes_combined_csv(tmp_path):
     assert len(text) == 1 + 2 * config.epochs
     assert (tmp_path / "s" / "scale_3x9" / "metrics.csv").exists()
     assert (tmp_path / "s" / "scale_5x9" / "metrics.csv").exists()
-
-
-def test_rmse_shape_guard():
-    """rmse takes two flat fields of one mesh; grids, whose @ would be a
-    matrix product, are refused too."""
-    with pytest.raises(ValueError):
-        rmse(np.zeros(4), np.zeros(9))
-    with pytest.raises(ValueError):
-        rmse(np.zeros((3, 3)), np.zeros((3, 3)))
