@@ -16,7 +16,9 @@ all of its tests, else 0.  M1-M5 keep each run's n_solver_evals equal to
 declared_evals; M6 breaks only that equality.  M7 caches each new axis
 factorization under another axis's key; every solve's residual check still
 passes, because it applies the same wrong axis it solved with.  M8 drops
-the square root from test_rmse, so every run reports its mean test MSE.
+the square root from test_rmse, so every run reports its mean test MSE.  M9
+builds a TrainConfig without checking it.  M10 lets every finite solve pass
+its check, whatever its backward error.
 """
 
 import os
@@ -50,6 +52,11 @@ LOOKUP = "tests/test_solver.py::test_lookup_of_more_new_axes_than_the_cache_hold
 BLOCK = ("tests/test_solver.py::"
          "test_block_of_more_new_axes_than_the_cache_holds_equals_one_mesh_solves")
 ORACLES = "tests/test_acceptance.py::test_differentiation_oracles"
+INVALID = "tests/test_train.py::test_building_an_invalid_config_raises"
+FLAGS_ONLY = "tests/test_cli.py::test_file_valid_only_with_its_flags_trains"
+SWEEP_CHECKS = "tests/test_cli.py::test_sweep_checks_every_cell_before_training"
+BAD_ESTIMATOR = "tests/test_cli.py::test_bad_estimator_settings_exit_two_in_every_mode"
+RESIDUAL_GUARD = "tests/test_solver.py::test_residual_guard_raises"
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,20 @@ MUTANTS = (
         "test_rmse = float(np.mean(np.sqrt(test_losses)))",
         "test_rmse = float(np.mean(test_losses))",
         (RMSE, CLI_BUDGET, SWEEP_FILES, BENCH_CHECKS),
+    ),
+    Mutant(
+        "M9", "a config is not checked when it is built",
+        TRAIN,
+        "self.validate()",
+        "pass",
+        (INVALID, FLAGS_ONLY, SWEEP_CHECKS, BAD_ESTIMATOR),
+    ),
+    Mutant(
+        "M10", "the solve check accepts any backward error",
+        SOLVER,
+        "BACKWARD_TOL = 64 * np.finfo(float).eps",
+        "BACKWARD_TOL = 1.0",
+        (RESIDUAL_GUARD,),
     ),
 )
 

@@ -58,7 +58,14 @@ def _check_types(data: dict, hints: dict, where: str) -> None:
             raise ConfigError(f"{where} {key!r} must be {expected}, got {json.dumps(value)}")
 
 
-def load_config(path: str) -> TrainConfig:
+def load_config(path: str, flags: dict | None = None) -> TrainConfig:
+    """The TrainConfig of a JSON config file with flags laid over its values.
+
+    flags maps ``_FLAG_FIELDS`` names (``estimator.<field>`` for an estimator
+    setting) to values.  The file's own values are type-checked, and its
+    estimator kind checked against its mesh_mode, before the flags go on;
+    then the config is built once, which checks the merged values.
+    """
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -71,29 +78,30 @@ def load_config(path: str) -> TrainConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    _check_types({k: v for k, v in data.items() if k != "estimator"}, _CONFIG_TYPES,
-                 "config key")
-    kwargs = dict(data)
-    if "estimator" in kwargs:
-        est = kwargs["estimator"]
-        if not isinstance(est, dict):
-            raise ConfigError("estimator must be a JSON object")
-        bad = set(est) - _ESTIMATOR_KEYS
-        if bad:
-            raise ConfigError(f"unknown estimator keys: {sorted(bad)}")
-        _check_types(est, _ESTIMATOR_TYPES, "estimator key")
-        # mesh_mode names the method; the estimator object only tunes it.
-        mode = kwargs.get("mesh_mode")
-        if mode in ESTIMATOR_KINDS and est.get("kind", mode) != mode:
-            raise ConfigError(
-                f"estimator kind {est['kind']!r} contradicts mesh_mode {mode!r}; "
-                "drop the kind or make it match"
-            )
-        kwargs["estimator"] = EstimatorSpec(**{"kind": "coordinate", **est})
+    kwargs = {k: v for k, v in data.items() if k != "estimator"}
+    _check_types(kwargs, _CONFIG_TYPES, "config key")
+    est = data.get("estimator", {})
+    if not isinstance(est, dict):
+        raise ConfigError("estimator must be a JSON object")
+    bad = set(est) - _ESTIMATOR_KEYS
+    if bad:
+        raise ConfigError(f"unknown estimator keys: {sorted(bad)}")
+    _check_types(est, _ESTIMATOR_TYPES, "estimator key")
+    # mesh_mode names the method; the estimator object only tunes it.
+    mode = kwargs.get("mesh_mode")
+    if mode in ESTIMATOR_KINDS and est.get("kind", mode) != mode:
+        raise ConfigError(
+            f"estimator kind {est['kind']!r} contradicts mesh_mode {mode!r}; "
+            "drop the kind or make it match"
+        )
+    est = {"kind": "coordinate", **est}
+    for name, value in (flags or {}).items():
+        prefix, _, key = name.rpartition(".")
+        (est if prefix else kwargs)[key] = value
     for key in ("train_alphas", "test_alphas"):
         if key in kwargs:
             kwargs[key] = tuple(float(a) for a in kwargs[key])
-    return TrainConfig(**kwargs)
+    return TrainConfig(**kwargs, estimator=EstimatorSpec(**est))
 
 
 # Each train flag's dest and the field it sets: a TrainConfig field, or an
@@ -110,18 +118,6 @@ _FLAG_FIELDS = {
 }
 
 
-def apply_overrides(config: TrainConfig, args: argparse.Namespace) -> TrainConfig:
-    """config with every train flag that was given in args put in."""
-    updates: dict = {}
-    est: dict = {}
-    for flag, name in _FLAG_FIELDS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            prefix, _, key = name.rpartition(".")
-            (est if prefix else updates)[key] = value
-    return replace(config, estimator=replace(config.estimator, **est), **updates)
-
-
 def _final(metrics: list, name: str) -> str:
     """The summary of a cell's last epoch, or of a run with none."""
     if not metrics:
@@ -130,7 +126,9 @@ def _final(metrics: list, name: str) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = apply_overrides(load_config(args.config), args)
+    config = load_config(args.config, {name: getattr(args, dest)
+                                       for dest, name in _FLAG_FIELDS.items()
+                                       if getattr(args, dest) is not None})
     metrics, _ = train_run(config)
     if metrics:
         last = metrics[-1]
@@ -171,10 +169,9 @@ def _sweep_cells(what: str, config: TrainConfig) -> dict[tuple, TrainConfig]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Train every cell of a preset grid.  Every cell's config is built and
-    validated before the first cell trains."""
+    """Train every cell of a preset grid.  Every cell's config is built, and
+    so checked, before the first cell trains."""
     config = load_config(args.config)
-    config.validate()
     name, labels, metric = _SWEEPS[args.what]
     cells = _sweep_cells(args.what, config)
     for key, metrics in sweep(config.out_dir, name, labels, cells):

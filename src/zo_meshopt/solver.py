@@ -16,9 +16,14 @@ symmetric tridiagonal (diagonal 1/hL + 1/hR, off-diagonals -1/h) and
 M = diag((hL + hR) / 2).  The eigenvectors of the symmetric M^-1/2 S M^-1/2
 are orthonormal and stable to compute, and scaling them by M^-1/2 gives
 T's eigenvectors with an inverse in closed form.  Every solve verifies its
-own residual before returning, as two products with the axes' dense
-tridiagonal operators, T_y w + w T_x^T; a non-finite solution fails that
-check too, so it needs no scan of its own.
+own residual r = A w - f before returning, as two products with the axes'
+dense tridiagonal operators, T_y w + w T_x^T; a non-finite solution fails
+that check too, so it needs no scan of its own.  The check has two tiers: a
+solve fails only if max|r| exceeds ``RESIDUAL_TOL`` and its normwise
+backward error ||r|| / (||A|| ||w|| + ||f||) in the infinity norm (Rigal &
+Gaches, J. ACM 14, 1967) exceeds ``BACKWARD_TOL``.  Lines at the minimum gap
+give T entries of order 1 / MIN_GAP**2, so an accurate solve there can have
+a residual above RESIDUAL_TOL while its backward error is a few epsilon.
 
 An axis factorization depends only on that axis's lines, and most of them
 repeat from call to call: one coarse mesh is solved for every scenario
@@ -67,7 +72,11 @@ import numpy as np
 from .errors import SolverError
 from .grid import Field, ScenarioParams, TensorMesh, check_field, mesh_to_params, params_to_meshes
 
+# The two tiers of the solve check (module docstring).  The backward error is
+# computed only when the residual exceeds RESIDUAL_TOL; accurate solves that
+# did, at MIN_GAP or on a 513 x 513 mesh, had backward errors of 7 to 9 eps.
 RESIDUAL_TOL = 1e-10
+BACKWARD_TOL = 64 * np.finfo(float).eps
 
 # Step of exact_mesh_vjp's central differences, in mesh-parameter units.
 FD_STEP = 1e-6
@@ -197,10 +206,15 @@ def _solve(
     if not np.isfinite(residual):
         raise SolverError(f"linear solve on a {nx}x{ny} mesh produced non-finite values")
     if residual > RESIDUAL_TOL:
-        raise SolverError(
-            f"solve residual {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.1e}",
-            residual=residual,
-        )
+        # ||A|| <= ||T_x|| + ||T_y||, each the largest row sum of |t|.
+        norm_a = np.abs(ax.t).sum(axis=1).max() + np.abs(ay.t).sum(axis=1).max()
+        eta = residual / (norm_a * np.max(np.abs(params.alpha * u)) + np.max(np.abs(rhs)))
+        if eta > BACKWARD_TOL:
+            raise SolverError(
+                f"solve residual {residual:.3e} exceeds tolerance {RESIDUAL_TOL:.1e} "
+                f"with backward error {eta:.2e} above {BACKWARD_TOL:.2e}",
+                residual=residual,
+            )
     full = np.zeros((ny, nx))
     full[1:-1, 1:-1] = u
     return SolveReport(Field(full.ravel(), mesh.shape), residual)

@@ -54,7 +54,8 @@ class TrainConfig:
     spec's kind to mesh_mode in an estimator mode and caps a gauss_coord
     spec's subset size d at mesh_dim in every mode, so the stored spec is
     the one that runs, apart from the seed offset each estimator call adds.
-    The spec is validated in every mode, whether or not it runs."""
+    Construction then validates the config, the spec in every mode whether
+    or not it runs, so every TrainConfig, ``replace``'s included, is valid."""
 
     fine_n: int = 33
     coarse_n: int = 9
@@ -75,6 +76,7 @@ class TrainConfig:
         kind = self.mesh_mode if self.mesh_mode in ESTIMATOR_KINDS else est.kind
         d = min(est.d, self.mesh_dim) if kind == "gauss_coord" else est.d
         object.__setattr__(self, "estimator", replace(est, kind=kind, d=d))
+        self.validate()
 
     @property
     def mesh_dim(self) -> int:
@@ -319,9 +321,9 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
     On any exception, KeyboardInterrupt included, the metrics collected so
     far are flushed with a trailing incomplete marker and the exception
     re-raised, so a metrics.csv without the marker vouches for every file
-    beside it.  An out_dir that cannot be made raises ConfigError first.
+    beside it.  The config was checked when it was built; an out_dir that
+    cannot be made raises ConfigError before anything is solved.
     """
-    config.validate()
     out = _make_out_dir(config.out_dir)
     solves0 = solve_count()
 
@@ -439,10 +441,9 @@ def sweep(
 ) -> list[tuple[tuple, list[EpochMetrics]]]:
     """Train each cell in order, then write ``<out_dir>/<name>.csv``: the
     label columns, then METRICS_HEADER's, one row per epoch of each cell.
-    Every cell is validated before the directory is made or any cell trains.
-    Returns (key, metrics) for each cell, in order."""
-    for cfg in cells.values():
-        cfg.validate()
+    Each cell's config was checked when it was built, so a bad cell fails
+    where the caller builds the grid, before this makes the directory or
+    trains any cell.  Returns (key, metrics) for each cell, in order."""
     out = _make_out_dir(out_dir)
     results = [(key, train_run(cfg)[0]) for key, cfg in cells.items()]
     rows = [",".join((*labels, METRICS_HEADER))]

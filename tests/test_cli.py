@@ -15,6 +15,8 @@ import zo_meshopt.solver as solver_mod
 import zo_meshopt.train as train_mod
 from zo_meshopt.errors import SolverError
 from zo_meshopt.grid import read_field_csv
+from zo_meshopt.train import TrainConfig
+from zo_meshopt.zo import EstimatorSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -286,6 +288,44 @@ def test_cli_overrides_take_precedence(tmp_path):
     assert data["config"]["seed"] == 7
     assert data["config"]["epochs"] == 3
     assert not (tmp_path / "o1").exists()
+
+
+def test_file_valid_only_with_its_flags_trains(tmp_path):
+    """Flags are laid over the file's values before the config is built and
+    checked: 2 epochs under the default 50 warm-start epochs is invalid
+    alone, and trains with --warm-start 1."""
+    cfg = write_config(tmp_path / "c.json")
+    data = json.loads(cfg.read_text())
+    del data["warm_start_epochs"]
+    cfg.write_text(json.dumps(data))
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert cli.main(["train", "--config", str(cfg), "--warm-start", "1"]) == 0
+    last = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[-1]
+    assert last.startswith("1,")
+
+
+@pytest.mark.parametrize("file_values,flags,merged", [
+    ({"mesh_mode": "gauss_coord", "estimator": {"kind": "gauss_coord", "d": 16}},
+     ["--mesh-mode", "gaussian"],
+     {"mesh_mode": "gaussian", "estimator": EstimatorSpec("gauss_coord", d=16)}),
+    ({"mesh_mode": "gaussian", "estimator": {"b": 1, "mu": 1e-2}},
+     ["--b", "3", "--d", "2", "--epochs", "4", "--warm-start", "3", "--seed", "5"],
+     {"mesh_mode": "gaussian", "epochs": 4, "warm_start_epochs": 3, "seed": 5,
+      "estimator": EstimatorSpec("coordinate", mu=1e-2, b=3, d=2)}),
+], ids=["d-under-mesh-mode-flag", "every-value-flag"])
+def test_train_config_is_the_config_of_the_merged_values(tmp_path, monkeypatch, file_values,
+                                                         flags, merged):
+    """The config the train command runs equals TrainConfig built directly
+    from the file's values with the flags laid over them.  So under
+    --mesh-mode gaussian a gauss_coord file's d = 16 stays 16, not the 6 that
+    the file's own mode caps it to at coarse 5."""
+    built = []
+    monkeypatch.setattr(cli, "train_run", lambda config: built.append(config) or ([], None))
+    cfg = write_config(tmp_path / "c.json", **file_values)
+    assert cli.main(["train", "--config", str(cfg), *flags]) == 0
+    base = dict(fine_n=9, coarse_n=5, train_alphas=(0.9, 1.1), test_alphas=(1.0,),
+                epochs=2, warm_start_epochs=1, lr=1e-2, seed=0, out_dir=str(tmp_path / "out"))
+    assert built == [TrainConfig(**{**base, **merged})]
 
 
 def test_estimator_flags_reach_config(tmp_path):

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import zo_meshopt.solver as solver_mod
 from zo_meshopt.errors import SolverError
-from zo_meshopt.grid import Field, ScenarioParams, TensorMesh, uniform_mesh
+from zo_meshopt.grid import (
+    MIN_GAP,
+    Field,
+    ScenarioParams,
+    TensorMesh,
+    params_to_mesh,
+    uniform_mesh,
+)
 from zo_meshopt.solver import (
     RESIDUAL_TOL,
     SolveReport,
@@ -196,6 +203,22 @@ def test_residual_guard_raises(monkeypatch):
     with pytest.raises(SolverError) as info:
         solve_poisson(mesh, ScenarioParams(alpha=1.0))
     assert info.value.residual > RESIDUAL_TOL
+
+
+def test_accurate_solves_with_a_large_operator_pass_the_check():
+    """Lines at MIN_GAP, or many lines, give T entries of order 1 / gap**2,
+    so an accurate solve's residual exceeds RESIDUAL_TOL.  Its backward error
+    is a few epsilon, so the solve returns, and the clustered mesh's solution
+    lies within cond(A) * epsilon of a dense solve."""
+    clustered = params_to_mesh(uniform_mesh(17), np.full(30, 0.5))
+    assert np.diff(clustered.x_lines).min() < 1.001 * MIN_GAP
+    for mesh in (clustered, uniform_mesh(513)):
+        assert solve_poisson(mesh, ScenarioParams(alpha=1.0)).residual_norm > RESIDUAL_TOL
+    grid = solve_poisson(clustered, ScenarioParams(alpha=0.9)).field.as_grid()
+    a_oracle = dense_operator_oracle(clustered)
+    expected = np.linalg.solve(a_oracle, np.ones(a_oracle.shape[0])) / 0.9
+    bound = np.linalg.cond(a_oracle, np.inf) * np.finfo(float).eps * np.max(np.abs(expected))
+    assert np.allclose(grid[1:-1, 1:-1].ravel(), expected, rtol=0, atol=bound)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -214,6 +214,20 @@ def test_config_validation():
             tiny_config(mesh_mode="gaussian", estimator=EstimatorSpec("gaussian", mu=mu)).validate()
 
 
+def test_building_an_invalid_config_raises():
+    """A TrainConfig checks itself when it is built, so an invalid one cannot
+    exist: building one directly or through dataclasses.replace raises."""
+    with pytest.raises(ConfigError, match="warm_start_epochs"):
+        tiny_config(warm_start_epochs=5, epochs=3)
+    config = tiny_config()
+    with pytest.raises(ConfigError, match="coarse_n=9"):
+        dataclasses.replace(config, coarse_n=9)
+    with pytest.raises(ConfigError, match="draw count b"):
+        dataclasses.replace(config, estimator=EstimatorSpec("gaussian", b=0))
+    with pytest.raises(ConfigError, match="subset size d=0"):
+        dataclasses.replace(config, estimator=EstimatorSpec("gauss_coord", d=0))
+
+
 @pytest.mark.parametrize("field", ["lr", "mesh_lr"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_validation_rejects_non_finite_learning_rates(field, bad):
