@@ -18,7 +18,9 @@ factorization under another axis's key; every solve's residual check still
 passes, because it applies the same wrong axis it solved with.  M8 drops
 the square root from test_rmse, so every run reports its mean test MSE.  M9
 builds a TrainConfig without checking it.  M10 lets every finite solve pass
-its check, whatever its backward error.
+its check, whatever its backward error.  M11 takes the coarse-field
+cotangent from the network's input gradients in the y row instead of the
+upsampled-value row.
 """
 
 import os
@@ -57,6 +59,7 @@ FLAGS_ONLY = "tests/test_cli.py::test_file_valid_only_with_its_flags_trains"
 SWEEP_CHECKS = "tests/test_cli.py::test_sweep_checks_every_cell_before_training"
 BAD_ESTIMATOR = "tests/test_cli.py::test_bad_estimator_settings_exit_two_in_every_mode"
 RESIDUAL_GUARD = "tests/test_solver.py::test_residual_guard_raises"
+COTANGENT_FD = "tests/test_train.py::test_loss_backward_coarse_cotangent_fd"
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,13 @@ MUTANTS = (
         "BACKWARD_TOL = 64 * np.finfo(float).eps",
         "BACKWARD_TOL = 1.0",
         (RESIDUAL_GUARD,),
+    ),
+    Mutant(
+        "M11", "coarse-field cotangent read from the y row of the input gradients",
+        TRAIN,
+        "input_grads[2])",
+        "input_grads[1])",
+        (COTANGENT_FD, ORACLES, ORDERING, WARM_START, BD_TRENDS),
     ),
 )
 

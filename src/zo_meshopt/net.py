@@ -1,10 +1,15 @@
 """Per-node correction network: a small tanh MLP with hand-written gradients.
 
-The API is batch-first: features are (n, d0), predictions are (n, d_out)
-and input gradients are (n, d0).  forward returns a ``ForwardCache`` that
-holds its parameters, and backward takes only that cache and a cotangent:
-it differentiates sum(cotangent * predictions) with respect to the
-parameters that made the predictions, exactly in the workspace's arithmetic.
+Every per-node array is feature-major, (width, n) for n nodes: the
+features, each layer's activations and the input gradients are C-contiguous
+buffers of a ``Workspace``, so the output layer's outer product and the
+bias-gradient sums run along contiguous rows.  The caller writes the (d0, n) features into
+``ws.features``; ``forward(params, ws)`` runs the pass there and returns the
+(d_out, n) predictions ``ws.activations[-1]`` with a ``ForwardCache`` that
+holds its parameters; ``backward`` takes only that cache and a (d_out, n)
+cotangent.  It differentiates sum(cotangent * predictions) with respect to
+the parameters that made the predictions, exactly in the workspace's
+arithmetic, and leaves the (d0, n) input gradients in ``ws.input_grads``.
 
 Parameters are float64 (``MlpParams.flat``), and so are the parameter
 gradients ``backward`` returns.  The passes themselves run in the compute
@@ -15,24 +20,18 @@ float32 workspace therefore trains float64 master weights from float32
 passes, the scheme of mixed-precision training (Micikevicius et al., ICLR
 2018).
 
-Every pass writes into a ``Workspace`` whose buffers are feature-major: one
-C-contiguous (width, n) array per layer, so the output layer's outer
-product and the bias-gradient sums run along contiguous rows.  Each layer's
-input buffer ends in a row of ones, so forward computes a layer as one
-product with its parameter block ``[W | b]`` (a view of ``MlpParams.flat``,
-or its cast copy) and no separate bias pass.  The batch-first arrays the
-API takes and returns are transposed views of those buffers, made once per
-workspace, and a training run that keeps one workspace allocates no
-per-layer (width, n) array per step.
+Each layer's input buffer ends in a row of ones, so forward computes a
+layer as one product with its parameter block ``[W | b]`` (a view of
+``MlpParams.flat``, or its cast copy) and no separate bias pass.  A
+training run that keeps one workspace allocates no per-layer (width, n)
+array per step.
 
-Aliasing rule: the predictions ``forward`` returns, and the input gradients
-``backward`` returns, are views into the workspace and live only until its
-next ``forward``; copy them to keep them.  ``backward`` builds each hidden
-layer's dz over that layer's activations, so after it only the predictions
-and the features survive in the workspace.  ``backward`` refuses a cache
-whose workspace a later ``forward`` has refilled, or that an earlier
-``backward`` has consumed.  ``forward`` without a workspace builds a fresh
-one, so its results are never overwritten by another forward.
+Aliasing rule: the predictions and the input gradients live only until the
+workspace's next ``forward``; copy them to keep them.  ``backward`` builds
+each hidden layer's dz over that layer's activations, so after it only the
+predictions and the features survive in the workspace.  ``backward``
+refuses a cache whose workspace a later ``forward`` has refilled, or that an
+earlier ``backward`` has consumed.
 """
 
 from __future__ import annotations
@@ -97,41 +96,34 @@ def _blocks(dims: tuple[int, ...], flat: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class Workspace:
-    """Reusable buffers for forward and backward on n rows, all of the
-    compute dtype ``dtype`` (float64 by default).
+    """Reusable buffers for forward and backward on n nodes, all of the
+    compute dtype ``dtype`` (float64 by default) and each C-contiguous.
 
-    Feature-major buffers, each C-contiguous.  ``inputs_t[l]`` is layer l's
-    input, (dims[l] + 1, n), whose last row holds ones, so that layer l is
-    the one product ``[W_l | b_l] @ inputs_t[l]``.  ``features_t``
-    (dims[0], n) is the value rows of ``inputs_t[0]``, and
-    ``activations_t[l]`` (dims[l + 1], n) those of ``inputs_t[l + 1]``; the
-    output layer's, the last, is a buffer of its own with no ones row.
-    ``input_grads_t`` is (dims[0], n), and ``g_t`` (widest hidden layer, n)
-    holds the gradient backward passes down a layer.  Backward builds a
-    hidden layer's dz over that layer's activations; the output layer's dz
-    is the cotangent itself.  ``features``, ``activations`` and
-    ``input_grads`` are the batch-first transposed views; a caller may build
-    its (n, dims[0]) inputs in ``features``.  ``generation`` counts the
-    passes written, forward and backward alike.
+    ``inputs[l]`` is layer l's input, (dims[l] + 1, n), whose last row holds
+    ones, so that layer l is the one product ``[W_l | b_l] @ inputs[l]``.
+    ``features`` (dims[0], n) is the value rows of ``inputs[0]``, where the
+    caller builds the pass's features, and ``activations[l]`` (dims[l + 1],
+    n) those of ``inputs[l + 1]``; the output layer's, the last, is a buffer
+    of its own with no ones row.  ``input_grads`` is (dims[0], n), and ``g``
+    (widest hidden layer, n) holds the gradient backward passes down a
+    layer.  Backward builds a hidden layer's dz over that layer's
+    activations; the output layer's dz is the cotangent itself.
+    ``generation`` counts the passes written, forward and backward alike.
     """
 
     def __init__(self, layer_dims, n: int, dtype=np.float64):
         dims = tuple(int(d) for d in layer_dims)
         self.layer_dims = dims
-        self.n = int(n)
         self.dtype = np.dtype(dtype)
         hidden = max(dims[1:-1], default=0)
-        self.inputs_t = tuple(np.ones((d + 1, n), self.dtype) for d in dims[:-1])
-        self.features_t = self.inputs_t[0][:-1]
-        self.activations_t = (
-            *(x[:-1] for x in self.inputs_t[1:]),
+        self.inputs = tuple(np.ones((d + 1, n), self.dtype) for d in dims[:-1])
+        self.features = self.inputs[0][:-1]
+        self.activations = (
+            *(x[:-1] for x in self.inputs[1:]),
             np.empty((dims[-1], n), self.dtype),
         )
-        self.input_grads_t = np.empty((dims[0], n), self.dtype)
-        self.g_t = np.empty((hidden, n), self.dtype)
-        self.features = self.features_t.T
-        self.activations = tuple(a.T for a in self.activations_t)
-        self.input_grads = self.input_grads_t.T
+        self.input_grads = np.empty((dims[0], n), self.dtype)
+        self.g = np.empty((hidden, n), self.dtype)
         self.generation = 0
 
 
@@ -157,38 +149,25 @@ def init_params(layer_dims, seed: int) -> MlpParams:
     return MlpParams(dims, flat)
 
 
-def forward(
-    params: MlpParams, features: np.ndarray, out: Workspace | None = None
-) -> tuple[np.ndarray, ForwardCache]:
-    """tanh hidden layers, identity output; returns (predictions, cache).
+def forward(params: MlpParams, ws: Workspace) -> tuple[np.ndarray, ForwardCache]:
+    """tanh hidden layers, identity output, on the features the caller built
+    in ``ws.features``; returns (predictions, cache).
 
-    Writes every layer into ``out`` (a fresh float64 workspace when None);
-    the returned predictions are ``out.activations[-1]``.  Features not
-    built in ``out.features`` are copied there first, cast to its dtype, so
-    the results do not depend on the caller's memory layout.
+    Writes every layer into ``ws``; the predictions are
+    ``ws.activations[-1]``.
     """
-    x = np.asarray(features)
-    if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
+    if ws.layer_dims != params.layer_dims:
         raise ValueError(
-            f"features must be (n, {params.layer_dims[0]}), got shape {x.shape}"
+            f"workspace holds dims {ws.layer_dims}, forward needs {params.layer_dims}"
         )
-    if out is None:
-        out = Workspace(params.layer_dims, x.shape[0])
-    elif out.layer_dims != params.layer_dims or out.n != x.shape[0]:
-        raise ValueError(
-            f"workspace holds dims {out.layer_dims} for {out.n} rows, "
-            f"forward needs {params.layer_dims} for {x.shape[0]}"
-        )
-    if x is not out.features:
-        np.copyto(out.features, x)
-    out.generation += 1
-    blocks = tuple(wb.astype(out.dtype, copy=False) for wb in params.blocks)
+    ws.generation += 1
+    blocks = tuple(wb.astype(ws.dtype, copy=False) for wb in params.blocks)
     last = len(blocks) - 1
     for l, wb in enumerate(blocks):
-        a = np.matmul(wb, out.inputs_t[l], out=out.activations_t[l])
+        a = np.matmul(wb, ws.inputs[l], out=ws.activations[l])
         if l != last:
             np.tanh(a, out=a)
-    return out.activations[-1], ForwardCache(params, out, out.generation, blocks)
+    return ws.activations[-1], ForwardCache(params, ws, ws.generation, blocks)
 
 
 def backward(
@@ -200,9 +179,9 @@ def backward(
     """Reverse-mode gradients of sum(cotangent * predictions) with respect
     to ``cache.params``, the parameters of the forward pass that made it.
 
-    The cotangent is cast to the workspace's dtype.  Returns the parameter
-    gradients, one fresh float64 vector laid out as ``cache.params.flat``,
-    and per-row input gradients (n, d0); the latter are
+    The (d_out, n) cotangent is cast to the workspace's dtype.  Returns the
+    parameter gradients, one fresh float64 vector laid out as
+    ``cache.params.flat``, and the (d0, n) input gradients
     ``cache.workspace.input_grads``, in its dtype, or None with
     ``input_grads=False``, which skips their product.  Consumes the cache:
     the hidden activations are overwritten, and a second backward on it
@@ -215,33 +194,32 @@ def backward(
             "cache is stale: its workspace was refilled by a later forward pass "
             "or consumed by a backward pass"
         )
-    cot = np.asarray(prediction_cotangent, dtype=ws.dtype)
-    if cot.shape != ws.activations[-1].shape:
+    dz = np.asarray(prediction_cotangent, dtype=ws.dtype)
+    if dz.shape != ws.activations[-1].shape:
         raise ValueError(
-            f"cotangent shape {cot.shape} does not match predictions "
+            f"cotangent shape {dz.shape} does not match predictions "
             f"{ws.activations[-1].shape}"
         )
     ws.generation += 1
     grads = np.empty_like(params.flat)
     grad_blocks = _blocks(params.layer_dims, grads)
     n_layers = len(params.blocks)
-    dz = cot.T
     for l in reversed(range(n_layers)):
         w = cache.blocks[l][:, :-1]
         if l != n_layers - 1:
             # (1 - act**2) * g, built in place over the activations: the
             # layer above's weight gradient was their last reader.
-            dz = np.square(ws.activations_t[l], out=ws.activations_t[l])
+            dz = np.square(ws.activations[l], out=ws.activations[l])
             np.subtract(1.0, dz, out=dz)
             dz *= g
-        a_prev = ws.features_t if l == 0 else ws.activations_t[l - 1]
+        a_prev = ws.features if l == 0 else ws.activations[l - 1]
         np.matmul(dz, a_prev.T, out=grad_blocks[l][:, :-1])
         # Summed in dz's dtype, then stored: a float32 sum written straight
         # into the float64 column takes a buffered casting loop, 3x slower.
         grad_blocks[l][:, -1] = dz.sum(axis=1)
         if l == 0 and not input_grads:
             break
-        g_out = ws.input_grads_t if l == 0 else ws.g_t[: w.shape[1]]
+        g_out = ws.input_grads if l == 0 else ws.g[: w.shape[1]]
         if dz.shape[0] == 1:
             # A (w, 1) by (1, n) product is an outer product: one rounding
             # per entry either way, and multiply skips the matmul machinery.

@@ -167,14 +167,14 @@ class TrainState:
 @dataclass(frozen=True)
 class LossCache:
     """One scenario's pass, as ``loss_backward`` needs it.  ``predictions``
-    is a view into the pass's workspace and lives until its next forward;
+    is the workspace's (1, n) output and lives until its next forward;
     ``resid`` is a float64 array of its own, whose mean square is the loss."""
 
     coarse_mesh: TensorMesh
     fine_mesh: TensorMesh
     net_cache: net.ForwardCache
     predictions: np.ndarray
-    resid: np.ndarray  # predictions[:, 0] - truth, float64
+    resid: np.ndarray  # predictions[0] - truth, float64
 
 
 def loss_from_coarse_field(
@@ -189,17 +189,17 @@ def loss_from_coarse_field(
 ) -> tuple[float, LossCache]:
     """MSE over all fine nodes, driven from an already-solved coarse field.
 
-    Writes each fine node's features [x, y, upsampled coarse value, alpha]
-    into ``workspace.features`` and runs the network pass there, in the
-    workspace's dtype, so the cache's predictions live only until the
+    Writes the fine nodes' feature rows x, y, upsampled coarse value and
+    alpha into ``workspace.features`` and runs the network pass there, in
+    the workspace's dtype, so the cache's predictions live only until the
     workspace's next forward.  The residual and the loss are float64.
     """
     feats = workspace.features
-    feats[:, 0], feats[:, 1] = fine_mesh.node_coords
-    feats[:, 2] = nearest_upsample(coarse_mesh, coarse_field, fine_mesh)
-    feats[:, 3] = float(scenario.alpha)
-    preds, cache = net.forward(net_params, feats, workspace)
-    resid = preds[:, 0] - fine_field
+    feats[0], feats[1] = fine_mesh.node_coords
+    feats[2] = nearest_upsample(coarse_mesh, coarse_field, fine_mesh)
+    feats[3] = float(scenario.alpha)
+    preds, cache = net.forward(net_params, workspace)
+    resid = preds[0] - fine_field
     loss = float(resid @ resid / resid.size)
     return loss, LossCache(coarse_mesh, fine_mesh, cache, preds, resid)
 
@@ -211,15 +211,15 @@ def loss_backward(
 
     Returns the network parameter gradients, laid out as ``MlpParams.flat``,
     and the coarse-field cotangent (the upsample adjoint of the network's
-    input gradient in the upsampled column).  With ``mesh_cotangent=False``
+    input-gradient row of the upsampled value).  With ``mesh_cotangent=False``
     the cotangent, which only a mesh gradient needs, is neither built nor
     returned (None).
     """
-    cot = 2.0 * cache.resid[:, None] / cache.resid.size
+    cot = 2.0 * cache.resid[None] / cache.resid.size
     grads, input_grads = net.backward(cache.net_cache, cot, input_grads=mesh_cotangent)
     if not mesh_cotangent:
         return grads, None
-    return grads, upsample_adjoint(cache.coarse_mesh, cache.fine_mesh, input_grads[:, 2])
+    return grads, upsample_adjoint(cache.coarse_mesh, cache.fine_mesh, input_grads[2])
 
 
 def declared_evals(config: TrainConfig, epochs_done: int | None = None) -> int:
@@ -411,7 +411,7 @@ def train_run(config: TrainConfig) -> tuple[list[EpochMetrics], TrainState]:
                 )
                 test_losses.append(loss)
                 # Copied out of the workspace, which the next forward refills.
-                pred = cache.predictions[:, 0].astype(float)
+                pred = cache.predictions[0].astype(float)
                 test_outputs.append((alpha, pred, truth))
             test_rmse = float(np.mean(np.sqrt(test_losses)))
             metrics.append(

@@ -170,12 +170,14 @@ def test_differentiation_oracles():
     netp = net.init_params((4, 8, 1), seed=3)
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((20, 4))
-    preds, cache = net.forward(netp, feats)
+    ws = net.Workspace(netp.layer_dims, 20)
+    ws.features[...] = feats.T
+    preds, cache = net.forward(netp, ws)
     g, _ = net.backward(cache, preds.copy())
     theta = netp.flat
 
     def objective(vec):
-        p, _ = net.forward(net.MlpParams(netp.layer_dims, vec), feats)
+        p, _ = net.forward(net.MlpParams(netp.layer_dims, vec), ws)
         return 0.5 * float(np.sum(p * p))
 
     h = 1e-5

@@ -339,6 +339,24 @@ def test_estimator_flags_reach_config(tmp_path):
     assert est["b"] == 2 and est["mu"] == 5e-3 and est["kind"] == "gauss_coord"
 
 
+@pytest.mark.parametrize("path,budget", [
+    ("configs/desk.json", 11259),
+    ("bench/workloads/exact-17x65.json", 55809),
+], ids=["desk", "exact-17x65"])
+def test_shipped_config_trains_at_its_own_length(tmp_path, path, budget):
+    """A shipped config trains every epoch it declares: the command exits 0,
+    metrics.csv holds one row per epoch and no incomplete marker, and the
+    final n_solver_evals is the declared budget.  gauss-17x129 (about 10 s)
+    is left out to hold the suite's time."""
+    config = cli.load_config(str(ROOT / path))
+    assert cli.main(["train", "--config", str(ROOT / path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert train_mod.INCOMPLETE_MARKER not in lines
+    assert lines[0] == train_mod.METRICS_HEADER and len(lines) == 1 + config.epochs
+    final = dict(zip(train_mod.METRICS_HEADER.split(","), lines[-1].split(",")))
+    assert int(final["n_solver_evals"]) == train_mod.declared_evals(config) == budget
+
+
 def test_rerun_metrics_identical_except_wall_time(tmp_path):
     cfg = write_config(tmp_path / "c.json", mesh_mode="coordinate",
                        estimator={"kind": "coordinate", "b": 1},

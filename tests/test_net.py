@@ -33,13 +33,21 @@ def forward_oracle(params, x):
     return out
 
 
+def forward_on(params, x, dtype=np.float64):
+    """forward on the nodes x (n, d0), written as the feature rows of a
+    fresh workspace."""
+    ws = Workspace(params.layer_dims, x.shape[0], dtype)
+    ws.features[...] = x.T
+    return forward(params, ws)
+
+
 def test_forward_matches_per_neuron_oracle():
     rng = np.random.default_rng(1)
     params = init_params((3, 5, 4, 2), seed=0)
     x = rng.standard_normal((7, 3))
-    pred, _ = forward(params, x)
-    assert pred.shape == (7, 2)
-    assert np.allclose(pred, forward_oracle(params, x), rtol=0, atol=1e-13)
+    pred, _ = forward_on(params, x)
+    assert pred.shape == (2, 7)
+    assert np.allclose(pred, forward_oracle(params, x).T, rtol=0, atol=1e-13)
 
 
 def test_init_glorot_bounds_and_determinism():
@@ -81,8 +89,8 @@ def test_backward_matches_finite_differences():
     dims = (4, 8, 1)
     params = init_params(dims, seed=0)
     x = rng.standard_normal((16, 4))
-    g = rng.standard_normal((16, 1))
-    pred, cache = forward(params, x)
+    g = rng.standard_normal((16, 1)).T
+    pred, cache = forward_on(params, x)
     grads, _ = backward(cache, g)
 
     theta = params.flat
@@ -92,8 +100,8 @@ def test_backward_matches_finite_differences():
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
         tm[k] -= h
-        fp = float(np.sum(g * forward(MlpParams(dims, tp), x)[0]))
-        fm = float(np.sum(g * forward(MlpParams(dims, tm), x)[0]))
+        fp = float(np.sum(g * forward_on(MlpParams(dims, tp), x)[0]))
+        fm = float(np.sum(g * forward_on(MlpParams(dims, tm), x)[0]))
         fd = (fp - fm) / (2.0 * h)
         rel = abs(grads[k] - fd) / max(abs(grads[k]), abs(fd), 1e-12)
         worst = max(worst, rel)
@@ -105,8 +113,8 @@ def test_input_grads_match_finite_differences():
     dims = (3, 6, 2)
     params = init_params(dims, seed=2)
     x = rng.standard_normal((5, 3))
-    g = rng.standard_normal((5, 2))
-    _, cache = forward(params, x)
+    g = rng.standard_normal((5, 2)).T
+    _, cache = forward_on(params, x)
     _, input_grads = backward(cache, g)
     h = 1e-6
     for r in range(5):
@@ -114,18 +122,20 @@ def test_input_grads_match_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[r, c] += h
             xm[r, c] -= h
-            fp = float(np.sum(g * forward(params, xp)[0]))
-            fm = float(np.sum(g * forward(params, xm)[0]))
+            fp = float(np.sum(g * forward_on(params, xp)[0]))
+            fm = float(np.sum(g * forward_on(params, xm)[0]))
             fd = (fp - fm) / (2.0 * h)
-            assert input_grads[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            assert input_grads[c, r] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_backward_rejects_bad_cotangent_shape():
     params = init_params((2, 3, 1), seed=0)
     x = np.zeros((4, 2))
-    _, cache = forward(params, x)
+    _, cache = forward_on(params, x)
     with pytest.raises(ValueError):
         backward(cache, np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        backward(cache, np.ones((4, 1)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -163,19 +173,19 @@ def test_linear_region_gradient_exact():
     gradients of sum(pred) are the inputs and ones exactly."""
     params = init_params((3, 1), seed=0)
     x = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
-    pred, cache = forward(params, x)
-    grads, input_grads = backward(cache, np.ones((2, 1)))
+    pred, cache = forward_on(params, x)
+    grads, input_grads = backward(cache, np.ones((1, 2)))
     grads = MlpParams(params.layer_dims, grads)
     assert np.allclose(grads.weights[0], x.sum(axis=0, keepdims=True), atol=1e-14)
     assert np.allclose(grads.biases[0], np.array([2.0]), atol=1e-14)
-    assert np.allclose(input_grads, np.tile(params.weights[0], (2, 1)), atol=1e-14)
+    assert np.allclose(input_grads, np.tile(params.weights[0], (2, 1)).T, atol=1e-14)
 
 
-def fresh_passes(params, x, cot):
-    """Forward and backward in the workspace's feature-major operation
-    order, with a fresh array per layer and per product."""
+def fresh_passes(params, x_t, cot):
+    """Forward and backward on features x_t (d0, n) and cotangent cot
+    (d_out, n) in the workspace's operation order, with a fresh array per
+    layer and per product."""
     last = len(params.weights) - 1
-    x_t = np.ascontiguousarray(x.T)
     acts = []
     a = x_t
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -184,14 +194,14 @@ def fresh_passes(params, x, cot):
         if l != last:
             np.tanh(a, out=a)
         acts.append(a)
-    g = cot.T
+    g = cot
     w_grads, b_grads = [None] * (last + 1), [None] * (last + 1)
     for l in reversed(range(last + 1)):
         dz = g if l == last else (1.0 - np.square(acts[l])) * g
         w_grads[l] = dz @ (x_t if l == 0 else acts[l - 1]).T
         b_grads[l] = dz.sum(axis=1)
         g = params.weights[l].T @ dz
-    return acts[-1].T, w_grads, b_grads, g.T
+    return acts[-1], w_grads, b_grads, g
 
 
 @pytest.mark.parametrize("n", [7, 1089, 16641])
@@ -199,16 +209,14 @@ def test_reused_workspace_matches_fresh_allocation_bitwise(n):
     dims = (4, 32, 32, 1)
     rng = np.random.default_rng(n)
     ws = Workspace(dims, n)
-    # Seed 1 builds its features in the workspace, as training does.
-    for seed, built_in_place in ((0, False), (1, True)):
+    for seed in (0, 1):
         params = init_params(dims, seed=seed)
         x = rng.standard_normal((n, 4))
-        cot = rng.standard_normal((n, 1))
-        if built_in_place:
-            ws.features[...] = x
-        pred, cache = forward(params, ws.features if built_in_place else x, ws)
+        cot = rng.standard_normal((n, 1)).T
+        ws.features[...] = x.T
+        pred, cache = forward(params, ws)
         grads, input_grads = backward(cache, cot)
-        ref_pred, ref_w, ref_b, ref_g = fresh_passes(params, x, cot)
+        ref_pred, ref_w, ref_b, ref_g = fresh_passes(params, np.ascontiguousarray(x.T), cot)
         assert pred is ws.activations[-1]
         assert input_grads is ws.input_grads
         assert np.array_equal(pred, ref_pred)
@@ -216,7 +224,7 @@ def test_reused_workspace_matches_fresh_allocation_bitwise(n):
         grads = MlpParams(dims, grads)
         for got, want in zip(grads.weights + grads.biases, tuple(ref_w) + tuple(ref_b)):
             assert np.array_equal(got, want)
-        own_pred, own_cache = forward(params, x)
+        own_pred, own_cache = forward_on(params, x)
         assert own_cache.workspace is not ws
         assert np.array_equal(own_pred, ref_pred)
 
@@ -241,47 +249,49 @@ def test_workspace_holds_no_more_than_the_batch_first_layout(n):
     # input-gradient buffer per layer: 4 + 65 + 64 + 68 = 201 values a row.
     ws = Workspace(DEFAULT_DIMS, n)
     assert _float64_held(ws) <= 201 * n
-    for buf in (*ws.inputs_t, ws.features_t, *ws.activations_t, ws.input_grads_t, ws.g_t):
+    for buf in (*ws.inputs, ws.features, *ws.activations, ws.input_grads, ws.g):
         assert buf.flags.c_contiguous
 
 
 def test_backward_rejects_cache_of_refilled_workspace():
     params = init_params((2, 3, 1), seed=0)
     ws = Workspace(params.layer_dims, 4)
-    _, stale = forward(params, np.zeros((4, 2)), ws)
-    _, fresh = forward(params, np.ones((4, 2)), ws)
+    ws.features[...] = 0.0
+    _, stale = forward(params, ws)
+    ws.features[...] = 1.0
+    _, fresh = forward(params, ws)
     with pytest.raises(ValueError, match="refilled"):
-        backward(stale, np.ones((4, 1)))
-    backward(fresh, np.ones((4, 1)))
+        backward(stale, np.ones((1, 4)))
+    backward(fresh, np.ones((1, 4)))
 
 
 def test_backward_consumes_its_cache_and_keeps_the_predictions():
     params = init_params(DEFAULT_DIMS, seed=0)
     x = np.random.default_rng(2).standard_normal((9, 4))
-    pred, cache = forward(params, x)
+    pred, cache = forward_on(params, x)
     kept = pred.copy()
-    backward(cache, np.ones((9, 1)))
+    backward(cache, np.ones((1, 9)))
     assert np.array_equal(pred, kept)
     with pytest.raises(ValueError, match="consumed"):
-        backward(cache, np.ones((9, 1)))
+        backward(cache, np.ones((1, 9)))
 
 
 def test_backward_without_input_grads_gives_the_same_parameter_grads():
     params = init_params(DEFAULT_DIMS, seed=4)
     rng = np.random.default_rng(4)
-    x, cot = rng.standard_normal((33, 4)), rng.standard_normal((33, 1))
-    full, input_grads = backward(forward(params, x)[1], cot)
+    x, cot = rng.standard_normal((33, 4)), rng.standard_normal((33, 1)).T
+    full, input_grads = backward(forward_on(params, x)[1], cot)
     assert input_grads is not None
-    lean, none = backward(forward(params, x)[1], cot, input_grads=False)
+    lean, none = backward(forward_on(params, x)[1], cot, input_grads=False)
     assert none is None
     assert np.array_equal(lean, full)
 
 
-@pytest.mark.parametrize("dims,n", [((2, 3, 1), 5), ((2, 4, 1), 4), ((2, 3, 2), 4)])
-def test_forward_rejects_workspace_of_wrong_shape(dims, n):
+@pytest.mark.parametrize("dims", [(2, 4, 1), (2, 3, 2)], ids=["hidden-width", "output-width"])
+def test_forward_rejects_workspace_of_wrong_shape(dims):
     params = init_params((2, 3, 1), seed=0)
     with pytest.raises(ValueError, match="workspace"):
-        forward(params, np.zeros((4, 2)), Workspace(dims, n))
+        forward(params, Workspace(dims, 4))
 
 
 @pytest.mark.parametrize("n", [1089, 16641])
@@ -293,10 +303,10 @@ def test_float32_passes_match_float64_to_relative_1e_5(n):
     workspace's dtype."""
     rng = np.random.default_rng(n)
     params = init_params(DEFAULT_DIMS, seed=3)
-    x, cot = rng.standard_normal((n, 4)), rng.standard_normal((n, 1))
+    x, cot = rng.standard_normal((n, 4)), rng.standard_normal((n, 1)).T
     results = {}
     for dtype in (np.float64, np.float32):
-        pred, cache = forward(params, x, Workspace(DEFAULT_DIMS, n, dtype))
+        pred, cache = forward_on(params, x, dtype)
         grads, input_grads = backward(cache, cot)
         assert pred.dtype == dtype and input_grads.dtype == dtype
         assert grads.dtype == np.float64

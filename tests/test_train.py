@@ -69,9 +69,10 @@ def test_loss_from_coarse_field_matches_recomputation():
     assert np.array_equal(coarse_field, ref_coarse)
     u_up = nearest_upsample(coarse, ref_coarse, fine)
     xs, ys = fine.node_coords
-    feats = np.column_stack([xs, ys, u_up, np.full(xs.size, 0.9)])
-    preds, _ = net.forward(netp, feats)
-    resid = preds[:, 0] - truth
+    ws = net.Workspace(netp.layer_dims, fine.n_nodes)
+    ws.features[...] = np.stack([xs, ys, u_up, np.full(xs.size, 0.9)])
+    preds, _ = net.forward(netp, ws)
+    resid = preds[0] - truth
     assert loss == pytest.approx(float(resid @ resid / resid.size), rel=0, abs=1e-18)
 
 
@@ -131,19 +132,19 @@ def test_loss_backward_coarse_cotangent_fd():
 
 
 def test_node_features_layout():
-    """A loss call writes each fine node's [x, y, upsampled coarse value,
-    alpha] into its workspace's features; the coarse mesh here is the fine
-    one, so the upsample copies the field."""
+    """A loss call writes the fine nodes' feature rows x, y, upsampled
+    coarse value and alpha into its workspace; the coarse mesh here is the
+    fine one, so the upsample copies the field."""
     fine = uniform_mesh(3)
     netp = net.init_params((4, 8, 1), seed=0)
     ws = net.Workspace(netp.layer_dims, fine.n_nodes)
     loss_from_coarse_field(fine, netp, ScenarioParams(0.75), np.arange(9.0), fine, np.zeros(9),
                            workspace=ws)
     feats = ws.features
-    assert feats.shape == (9, 4)
-    assert np.array_equal(feats[:, 3], np.full(9, 0.75))
-    assert feats[1, 0] == 0.5 and feats[1, 1] == 0.0
-    assert np.array_equal(feats[:, 2], np.arange(9.0))
+    assert feats.shape == (4, 9)
+    assert np.array_equal(feats[3], np.full(9, 0.75))
+    assert feats[0, 1] == 0.5 and feats[1, 1] == 0.0
+    assert np.array_equal(feats[2], np.arange(9.0))
 
 
 def test_gauss_coord_subset_clipped_to_dimension(tmp_path):
@@ -553,7 +554,7 @@ def test_test_rmse_matches_manual_recompute(tmp_path):
             state.mesh, state.net, scenario, solve_poisson(state.mesh, scenario).field.values,
             fine, truth, workspace=net.Workspace(net.DEFAULT_DIMS, fine.n_nodes, np.float32),
         )
-        diff = cache.predictions[:, 0].astype(float) - truth
+        diff = cache.predictions[0].astype(float) - truth
         per.append(np.sqrt(diff @ diff / diff.size))
     assert metrics[-1].test_rmse == pytest.approx(float(np.mean(per)), rel=0, abs=1e-15)
 
